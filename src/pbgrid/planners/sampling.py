@@ -13,11 +13,12 @@ import math
 import time
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from pbgrid.grid import (
+    _STEP_COST,
     Cell,
     Connectivity,
     GridMap,
@@ -35,7 +36,10 @@ from pbgrid.planners.base import (
     SearchTrace,
 )
 
-_STEP_COST = (0.0, 1.0, math.sqrt(2.0), math.sqrt(3.0))
+# Pair-search and line-check kernels work in blocks of about this many
+# candidates or line steps, so their temporaries stay bounded (tens of MiB)
+# at any map size or radius.
+_KERNEL_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,24 @@ class SamplerParams:
         return self.prm_nodes if self.prm_nodes is not None else grid.free_count // 8
 
 
+def _line_cells(a: Cell, b: Cell, orthogonal: bool) -> Iterator[Cell]:
+    """Yield the cells of discrete_line(a, b, orthogonal) one at a time, so a
+    caller that needs only a prefix computes only that prefix."""
+    cur = tuple(a)
+    yield cur
+    n = max(abs(x - y) for x, y in zip(a, b))
+    for i in range(1, n + 1):
+        nxt = tuple(int(math.floor(x + (y - x) * i / n + 0.5)) for x, y in zip(a, b))
+        if orthogonal:
+            for axis in range(len(cur)):
+                if cur[axis] != nxt[axis]:
+                    cur = cur[:axis] + (nxt[axis],) + cur[axis + 1:]
+                    yield cur
+        else:
+            yield nxt
+        cur = nxt
+
+
 def discrete_line(a: Cell, b: Cell, orthogonal: bool = False) -> Tuple[Cell, ...]:
     """Integer line from a to b inclusive (rounded interpolation).
 
@@ -80,24 +102,9 @@ def discrete_line(a: Cell, b: Cell, orthogonal: bool = False) -> Tuple[Cell, ...
     multi-axis step is expanded into unit steps in axis order, so the line is
     walkable under Orthogonal connectivity.
     """
-    n = max(abs(x - y) for x, y in zip(a, b)) if a != b else 0
-    if n == 0:
-        return (tuple(a),)
-    pts = [tuple(a)]
-    for i in range(1, n + 1):
-        pts.append(
-            tuple(int(math.floor(x + (y - x) * i / n + 0.5)) for x, y in zip(a, b))
-        )
-    if not orthogonal:
-        return tuple(pts)
-    out = [pts[0]]
-    for nxt in pts[1:]:
-        cur = out[-1]
-        for axis in range(len(cur)):
-            if cur[axis] != nxt[axis]:
-                cur = cur[:axis] + (nxt[axis],) + cur[axis + 1:]
-                out.append(cur)
-    return tuple(out)
+    # built through a list: tuple() fed straight from the generator grows by
+    # reallocation, which raised peak RSS by about 1 MiB on 32^2 sampler sweeps
+    return tuple([*_line_cells(a, b, orthogonal)])
 
 
 def _move_legal(occ: np.ndarray, src: Cell, dst: Cell) -> bool:
@@ -129,9 +136,9 @@ def _steer_walk(
 ) -> List[Cell]:
     """Walk the discrete line up to step_cells cells, stopping before any
     obstacle or corner-cut violation. Returns the walked prefix (>= 1 cell)."""
-    line = discrete_line(from_cell, toward, orthogonal)
-    walked = [line[0]]
-    for nxt in line[1 : step_cells + 1]:
+    cells = _line_cells(from_cell, toward, orthogonal)
+    walked = [next(cells)]
+    for _, nxt in zip(range(step_cells), cells):
         if not _move_legal(occ, walked[-1], nxt):
             break
         walked.append(nxt)
@@ -549,10 +556,115 @@ def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerP
     return _tree_outcome(grid, [tree], branch, t0, None if branch else BUDGET_EXHAUSTED)
 
 
+def _row_major_strides(shape: Sequence[int]) -> np.ndarray:
+    strides = np.ones(len(shape), dtype=np.int64)
+    for axis in range(len(shape) - 2, -1, -1):
+        strides[axis] = strides[axis + 1] * shape[axis + 1]
+    return strides
+
+
+def _roadmap_pairs(coords: np.ndarray, extent: Sequence[int], radius: float):
+    """All pairs of nodes within radius, as (lo, hi) node-index arrays.
+
+    coords holds distinct in-bounds cells, one per row. Each pair appears
+    once, with coords[lo] < coords[hi] lexicographically, and pairs are sorted
+    by (min(lo, hi), max(lo, hi)). The search writes node ids into a padded
+    flat grid and gathers once per offset of the positive half-stencil
+    (offsets o > 0 lexicographically with |o|^2 <= radius^2), so its work
+    grows with nodes x stencil instead of nodes^2.
+    """
+    dims = coords.shape[1]
+    r2 = radius * radius
+    longest = max(extent) - 1
+    # largest integer o_k with o_k^2 <= r2, capped by the map extent
+    reach_max = math.isqrt(int(min(longest * longest, r2)))
+    reach = [min(reach_max, s - 1) for s in extent]
+    axes = np.meshgrid(*(np.arange(-p, p + 1) for p in reach), indexing="ij")
+    offsets = np.stack(axes, axis=-1).reshape(-1, dims)
+    # meshgrid order is lexicographic and symmetric about the zero offset
+    offsets = offsets[len(offsets) // 2 + 1:]
+    offsets = offsets[(offsets * offsets).sum(axis=1) <= r2]
+
+    padded = [s + 2 * p for s, p in zip(extent, reach)]
+    strides = _row_major_strides(padded)
+    slots = coords @ strides + np.asarray(reach) @ strides
+    index = np.full(int(np.prod(padded)), -1, dtype=np.int32)
+    index[slots] = np.arange(len(coords), dtype=np.int32)
+    deltas = offsets @ strides
+
+    lo_parts, hi_parts = [], []
+    block = max(1, _KERNEL_BLOCK // max(len(coords), 1))
+    for start in range(0, len(deltas), block):
+        found = index[slots[:, None] + deltas[None, start:start + block]]
+        rows, cols = np.nonzero(found >= 0)
+        lo_parts.append(rows)
+        hi_parts.append(found[rows, cols].astype(np.int64))
+    lo = np.concatenate(lo_parts) if lo_parts else np.zeros(0, dtype=np.int64)
+    hi = np.concatenate(hi_parts) if hi_parts else np.zeros(0, dtype=np.int64)
+    order = np.lexsort((np.maximum(lo, hi), np.minimum(lo, hi)))
+    return lo[order], hi[order]
+
+
+def _lines_valid(occ: np.ndarray, a: np.ndarray, b: np.ndarray, orthogonal: bool) -> np.ndarray:
+    """_line_valid(occ, discrete_line(a[k], b[k], orthogonal)) for every row k
+    of the (lines, dims) integer arrays a and b.
+
+    Each step cur -> nxt of the rounded line is tested in one numpy pass over
+    all steps of all lines, with discrete_line's float expression. Under FULL
+    connectivity a step is legal when every cell reached by a non-empty subset
+    of its changed axes is free: the target plus the corner-cut shoulders.
+    Under ORTHOGONAL the line walks the changed axes in axis order, so the
+    cells to test are the axis-order prefixes of the step.
+    """
+    dims = occ.ndim
+    if orthogonal:
+        masks = [list(range(k + 1)) for k in range(dims)]
+    else:
+        masks = [
+            [axis for axis in range(dims) if bits >> axis & 1]
+            for bits in range(1, 1 << dims)
+        ]
+    flat = occ.reshape(-1)
+    strides = _row_major_strides(occ.shape)
+    diff = b - a
+    n = np.abs(diff).max(axis=1)
+    valid = np.ones(len(a), dtype=bool)
+    block = max(1, _KERNEL_BLOCK // max(int(n.max(initial=0)), 1))
+    for start in range(0, len(a), block):
+        seg_n = n[start:start + block]
+        line = np.repeat(np.arange(start, start + len(seg_n)), seg_n)
+        if not len(line):
+            continue
+        t = np.arange(1, len(line) + 1) - np.repeat(np.cumsum(seg_n) - seg_n, seg_n)
+        span = n[line]
+        base = np.zeros(len(line), dtype=np.int64)
+        shifts = []
+        for axis in range(dims):
+            origin, delta = a[line, axis], diff[line, axis]
+            cur = np.floor(origin + delta * (t - 1) / span + 0.5).astype(np.int64)
+            nxt = np.floor(origin + delta * t / span + 0.5).astype(np.int64)
+            base += cur * strides[axis]
+            shifts.append((nxt - cur) * strides[axis])
+        blocked = np.zeros(len(line), dtype=bool)
+        for mask in masks:
+            shift = sum(shifts[axis] for axis in mask)
+            # a mask of unchanged axes names cur itself, which the step
+            # leaves rather than enters (_line_valid never tests line[0])
+            blocked |= flat[base + shift] & (shift != 0)
+        valid[line[blocked]] = False
+    return valid
+
+
 def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParams()) -> PlanOutcome:
     """Simple PRM: sample prm_nodes free cells plus start/goal, connect pairs
     within prm_radius whose discrete line is free, answer with Dijkstra over
     the roadmap.
+
+    Candidate pairs come from an integer offset stencil (every offset within
+    prm_radius, looked up in a grid of node ids), not from an N x N distance
+    matrix, and all their lines are checked in one numpy pass
+    (_roadmap_pairs, _lines_valid). Edges are kept as node pairs; the cells
+    of a line are rebuilt with discrete_line only for the returned path.
 
     The query treats every roadmap edge as one hop, the simplest weighting:
     the answer is a fewest-edges route, not a shortest-cells route, and the
@@ -577,25 +689,16 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
             seen.add(cell)
             nodes.append(cell)
 
-    coords = np.asarray(nodes, dtype=float)
-    # edges between pairs within prm_radius; the line is computed in canonical
-    # (lexicographic) direction so edges are symmetric by construction
+    coords = np.asarray(nodes, dtype=np.int64)
+    # pairs come out sorted by (i, j), lo < hi lexicographically, so each
+    # node's adjacency list is ascending and edges are symmetric by construction
+    lo_ids, hi_ids = _roadmap_pairs(coords, grid.extent, params.prm_radius)
+    keep = _lines_valid(occ, coords[lo_ids], coords[hi_ids], orthogonal)
+    edges_i, edges_j = np.minimum(lo_ids, hi_ids)[keep], np.maximum(lo_ids, hi_ids)[keep]
     adj: List[List[int]] = [[] for _ in nodes]
-    edge_lines: Dict[Tuple[int, int], Tuple[Cell, ...]] = {}
-    r2 = params.prm_radius * params.prm_radius
-    d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-    pairs = np.argwhere((d2 <= r2) & (d2 > 0))
-    for i, j in pairs:
-        if i >= j:
-            continue
-        a, b = nodes[i], nodes[j]
-        lo, hi = (a, b) if a <= b else (b, a)
-        line = discrete_line(lo, hi, orthogonal)
-        if not _line_valid(occ, line):
-            continue
-        adj[i].append(int(j))
-        adj[j].append(int(i))
-        edge_lines[(int(i), int(j))] = line
+    for i, j in zip(edges_i.tolist(), edges_j.tolist()):
+        adj[i].append(j)
+        adj[j].append(i)
 
     # Dijkstra over the roadmap at one hop per edge, ties broken by node cell
     dist = {0: 0.0}
@@ -622,7 +725,7 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
     memory = (
         len(nodes) * TREE_NODE_BYTES
         + coords.nbytes
-        + 2 * len(edge_lines) * DICT_ENTRY_BYTES
+        + 2 * len(edges_i) * DICT_ENTRY_BYTES
     )
     elapsed = time.perf_counter() - t0
     log = [(cell, -1.0, float(i)) for i, cell in enumerate(nodes)]
@@ -643,10 +746,9 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
     ids.reverse()
     cells: List[Cell] = [nodes[0]]
     for a, b in zip(ids, ids[1:]):
-        key = (a, b) if a < b else (b, a)
-        line = edge_lines[key]
-        seg = list(line) if nodes[a] == line[0] else list(reversed(line))
-        cells.extend(seg[1:])
+        lo, hi = sorted((nodes[a], nodes[b]))
+        line = discrete_line(lo, hi, orthogonal)
+        cells.extend(line[1:] if nodes[a] == lo else line[-2::-1])
     return PlanOutcome(
         success=True,
         path=Path.from_cells(cells),

@@ -1,13 +1,27 @@
 import io
 import math
+from heapq import heappop, heappush
 
 import numpy as np
 import pytest
 
-from pbgrid.grid import Connectivity, GridMap, MapError, MoveModel, validate_path
+from pbgrid.grid import Connectivity, GridMap, MapError, MoveModel, Path, validate_path
+from pbgrid.planners.base import (
+    DICT_ENTRY_BYTES,
+    ROADMAP_DISCONNECTED,
+    TREE_NODE_BYTES,
+    PlanOutcome,
+    SearchTrace,
+)
 from pbgrid.planners.graph import astar, dijkstra
 from pbgrid.planners.sampling import (
     SamplerParams,
+    _line_valid,
+    _lines_valid,
+    _move_legal,
+    _roadmap_pairs,
+    _sampler_prelude,
+    _steer_walk,
     d_rrt,
     d_rrt_connect,
     d_rrt_star,
@@ -79,6 +93,27 @@ def test_grid_steer_requires_free_origin():
     occ[1, 1] = True
     with pytest.raises(MapError):
         grid_steer((1, 1), (0, 0), 2, GridMap(occ))
+
+
+def test_steer_prefix_matches_full_line_walk():
+    # the steer walk generates only the cells it can use; the oracle walks
+    # the prefix of the complete discrete line
+    rng = np.random.default_rng(7)
+    for dims, size in ((2, 12), (3, 7)):
+        for orthogonal in (False, True):
+            for _ in range(150):
+                occ = rng.random((size,) * dims) < 0.25
+                free = np.argwhere(~occ)
+                a = tuple(int(c) for c in free[rng.integers(len(free))])
+                b = tuple(int(c) for c in rng.integers(0, size, size=dims))
+                step = int(rng.integers(1, 2 * size))
+                line = discrete_line(a, b, orthogonal)
+                walked = [line[0]]
+                for nxt in line[1 : step + 1]:
+                    if not _move_legal(occ, walked[-1], nxt):
+                        break
+                    walked.append(nxt)
+                assert _steer_walk(occ, a, b, step, orthogonal) == walked
 
 
 def test_grid_steer_respects_corner_cut():
@@ -315,6 +350,144 @@ def test_sprm_failure_reason_when_disconnected():
     out = d_sprm(g, FULL, SamplerParams(seed=3))
     assert not out.success
     assert out.failure_reason == "roadmap_disconnected"
+
+
+def _brute_sprm(grid, model, params):
+    """The d_sprm roadmap as first written: a dense N x N distance matrix,
+    one discrete_line + _line_valid per pair, and a stored line per edge."""
+    rng, free = _sampler_prelude(grid, params)
+    occ = grid.occupancy
+    orthogonal = model.connectivity is Connectivity.ORTHOGONAL
+    n_nodes = min(params.resolved_prm_nodes(grid), len(free))
+    picks = rng.choice(len(free), size=n_nodes, replace=False) if n_nodes else []
+    nodes = [grid.agent, grid.goal]
+    seen = {grid.agent, grid.goal}
+    for i in picks:
+        cell = tuple(int(c) for c in free[i])
+        if cell not in seen:
+            seen.add(cell)
+            nodes.append(cell)
+    coords = np.asarray(nodes, dtype=float)
+    adj = [[] for _ in nodes]
+    edge_lines = {}
+    r2 = params.prm_radius * params.prm_radius
+    d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+    for i, j in np.argwhere((d2 <= r2) & (d2 > 0)):
+        if i >= j:
+            continue
+        a, b = nodes[i], nodes[j]
+        lo, hi = (a, b) if a <= b else (b, a)
+        line = discrete_line(lo, hi, orthogonal)
+        if not _line_valid(occ, line):
+            continue
+        adj[i].append(int(j))
+        adj[j].append(int(i))
+        edge_lines[(int(i), int(j))] = line
+
+    dist = {0: 0.0}
+    parent = {0: -1}
+    heap = [(0.0, nodes[0], 0)]
+    heap_peak = 1
+    done = set()
+    while heap:
+        d, _, i = heappop(heap)
+        if i in done:
+            continue
+        done.add(i)
+        if i == 1:
+            break
+        for j in adj[i]:
+            if d + 1.0 < dist.get(j, float("inf")):
+                dist[j] = d + 1.0
+                parent[j] = i
+                heappush(heap, (d + 1.0, nodes[j], j))
+                heap_peak = max(heap_peak, len(heap))
+    memory = len(nodes) * TREE_NODE_BYTES + coords.nbytes + 2 * len(edge_lines) * DICT_ENTRY_BYTES
+    log = [(cell, -1.0, float(i)) for i, cell in enumerate(nodes)]
+    trace = SearchTrace(explored=set(nodes), frontier_peak=heap_peak, step_log=log)
+    if 1 not in done:
+        return PlanOutcome(False, None, trace, 0.0, memory, grid.agent, ROADMAP_DISCONNECTED)
+    ids = [1]
+    while ids[-1] != 0:
+        ids.append(parent[ids[-1]])
+    ids.reverse()
+    cells = [nodes[0]]
+    for a, b in zip(ids, ids[1:]):
+        line = edge_lines[(a, b) if a < b else (b, a)]
+        seg = list(line) if nodes[a] == line[0] else list(reversed(line))
+        cells.extend(seg[1:])
+    return PlanOutcome(True, Path.from_cells(cells), trace, 0.0, memory, grid.goal)
+
+
+def _border_instance(rng, dims, size, fill):
+    """Random map whose agent and goal sit on the map border."""
+    occ = rng.random((size,) * dims) < fill
+    free = np.argwhere(~occ)
+    border = free[((free == 0) | (free == size - 1)).any(axis=1)]
+    if len(border) < 2:
+        return None
+    picks = rng.choice(len(border), size=2, replace=False)
+    return GridMap(occ, agent=tuple(border[picks[0]]), goal=tuple(border[picks[1]]))
+
+
+RADII = (1.0, math.sqrt(2.0), math.sqrt(3.0), 2.5, 4.0, 8.0)
+
+
+@pytest.mark.parametrize("dims,size", [(2, 14), (3, 7)])
+@pytest.mark.parametrize("connectivity", list(Connectivity))
+def test_sprm_matches_brute_force_roadmap(dims, size, connectivity):
+    model = MoveModel(connectivity)
+    rng = np.random.default_rng(67 + dims)
+    compared = 0
+    for radius in RADII:
+        # node density from sparse to every free cell (the whole border)
+        for share in (8, 2, 1):
+            g = _border_instance(rng, dims, size, fill=0.25)
+            if g is None:
+                continue
+            p = SamplerParams(seed=compared, prm_nodes=g.free_count // share, prm_radius=radius)
+            got, want = d_sprm(g, model, p), _brute_sprm(g, model, p)
+            assert got.success == want.success
+            assert got.failure_reason == want.failure_reason
+            assert (got.path and got.path.cells) == (want.path and want.path.cells)
+            assert got.trace.explored == want.trace.explored
+            assert got.trace.step_log == want.trace.step_log
+            assert got.trace.frontier_peak == want.trace.frontier_peak
+            assert got.peak_memory_bytes == want.peak_memory_bytes
+            compared += 1
+    assert compared >= 15
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_roadmap_pairs_match_brute_force(dims):
+    rng = np.random.default_rng(71 + dims)
+    for radius in RADII + (0.5, 30.0, math.inf):
+        for _ in range(8):
+            extent = tuple(int(e) for e in rng.integers(1, 10, size=dims))
+            cells = np.argwhere(np.ones(extent, dtype=bool))
+            coords = cells[rng.choice(len(cells), size=int(rng.integers(1, len(cells) + 1)), replace=False)]
+            lo, hi = _roadmap_pairs(coords, extent, radius)
+            d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+            want = [(i, j) for i, j in np.argwhere((d2 <= radius * radius) & (d2 > 0)) if i < j]
+            assert list(zip(np.minimum(lo, hi), np.maximum(lo, hi))) == want
+            assert all(tuple(coords[i]) < tuple(coords[j]) for i, j in zip(lo, hi))
+
+
+@pytest.mark.parametrize("dims,size", [(2, 12), (3, 6)])
+@pytest.mark.parametrize("orthogonal", [False, True])
+def test_lines_valid_matches_line_walk(dims, size, orthogonal):
+    rng = np.random.default_rng(73 + dims)
+    for fill in (0.1, 0.3, 0.5):
+        occ = rng.random((size,) * dims) < fill
+        a = rng.integers(0, size, size=(200, dims))
+        b = rng.integers(0, size, size=(200, dims))
+        b[:5] = a[:5]  # zero-length lines are valid
+        got = _lines_valid(occ, a, b, orthogonal)
+        want = [
+            _line_valid(occ, discrete_line(tuple(map(int, x)), tuple(map(int, y)), orthogonal))
+            for x, y in zip(a, b)
+        ]
+        assert got.tolist() == want
 
 
 # --- shared contracts ---------------------------------------------------------
