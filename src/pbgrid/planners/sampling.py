@@ -36,10 +36,11 @@ from pbgrid.planners.base import (
     SearchTrace,
 )
 
-# Pair-search and line-check kernels work in blocks of about this many
-# candidates or line steps, so their temporaries stay bounded (tens of MiB)
-# at any map size or radius.
-_KERNEL_BLOCK = 1 << 20
+# Work-block sizes that keep the roadmap kernels' temporaries near 10 MiB per
+# block at any map size or radius: (node, offset) lookups per pair-search block,
+# and line steps per line-check block (each step carries a dozen int64 arrays).
+_PAIR_BLOCK = 1 << 20
+_STEP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -593,7 +594,7 @@ def _roadmap_pairs(coords: np.ndarray, extent: Sequence[int], radius: float):
     deltas = offsets @ strides
 
     lo_parts, hi_parts = [], []
-    block = max(1, _KERNEL_BLOCK // max(len(coords), 1))
+    block = max(1, _PAIR_BLOCK // max(len(coords), 1))
     for start in range(0, len(deltas), block):
         found = index[slots[:, None] + deltas[None, start:start + block]]
         rows, cols = np.nonzero(found >= 0)
@@ -629,7 +630,7 @@ def _lines_valid(occ: np.ndarray, a: np.ndarray, b: np.ndarray, orthogonal: bool
     diff = b - a
     n = np.abs(diff).max(axis=1)
     valid = np.ones(len(a), dtype=bool)
-    block = max(1, _KERNEL_BLOCK // max(int(n.max(initial=0)), 1))
+    block = max(1, _STEP_BLOCK // max(int(n.max(initial=0)), 1))
     for start in range(0, len(a), block):
         seg_n = n[start:start + block]
         line = np.repeat(np.arange(start, start + len(seg_n)), seg_n)

@@ -13,6 +13,7 @@ from pbgrid.planners.base import (
     PlanOutcome,
     SearchTrace,
 )
+from pbgrid.planners import sampling
 from pbgrid.planners.graph import astar, dijkstra
 from pbgrid.planners.sampling import (
     SamplerParams,
@@ -458,8 +459,11 @@ def test_sprm_matches_brute_force_roadmap(dims, size, connectivity):
     assert compared >= 15
 
 
+@pytest.mark.parametrize("block", [None, 3])
 @pytest.mark.parametrize("dims", [2, 3])
-def test_roadmap_pairs_match_brute_force(dims):
+def test_roadmap_pairs_match_brute_force(dims, block, monkeypatch):
+    if block:  # many small work blocks instead of one
+        monkeypatch.setattr(sampling, "_PAIR_BLOCK", block)
     rng = np.random.default_rng(71 + dims)
     for radius in RADII + (0.5, 30.0, math.inf):
         for _ in range(8):
@@ -473,9 +477,12 @@ def test_roadmap_pairs_match_brute_force(dims):
             assert all(tuple(coords[i]) < tuple(coords[j]) for i, j in zip(lo, hi))
 
 
+@pytest.mark.parametrize("block", [None, 5])
 @pytest.mark.parametrize("dims,size", [(2, 12), (3, 6)])
 @pytest.mark.parametrize("orthogonal", [False, True])
-def test_lines_valid_matches_line_walk(dims, size, orthogonal):
+def test_lines_valid_matches_line_walk(dims, size, orthogonal, block, monkeypatch):
+    if block:  # many small work blocks instead of one
+        monkeypatch.setattr(sampling, "_STEP_BLOCK", block)
     rng = np.random.default_rng(73 + dims)
     for fill in (0.1, 0.3, 0.5):
         occ = rng.random((size,) * dims) < fill
