@@ -588,20 +588,19 @@ def _roadmap_pairs(coords: np.ndarray, extent: Sequence[int], radius: float):
 
     padded = [s + 2 * p for s, p in zip(extent, reach)]
     strides = _row_major_strides(padded)
-    slots = coords @ strides + np.asarray(reach) @ strides
+    slots = (coords + reach) @ strides
     index = np.full(int(np.prod(padded)), -1, dtype=np.int32)
     index[slots] = np.arange(len(coords), dtype=np.int32)
     deltas = offsets @ strides
 
-    lo_parts, hi_parts = [], []
+    lo_parts, hi_parts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     block = max(1, _PAIR_BLOCK // max(len(coords), 1))
     for start in range(0, len(deltas), block):
         found = index[slots[:, None] + deltas[None, start:start + block]]
         rows, cols = np.nonzero(found >= 0)
         lo_parts.append(rows)
         hi_parts.append(found[rows, cols].astype(np.int64))
-    lo = np.concatenate(lo_parts) if lo_parts else np.zeros(0, dtype=np.int64)
-    hi = np.concatenate(hi_parts) if hi_parts else np.zeros(0, dtype=np.int64)
+    lo, hi = np.concatenate(lo_parts), np.concatenate(hi_parts)
     order = np.lexsort((np.maximum(lo, hi), np.minimum(lo, hi)))
     return lo[order], hi[order]
 
@@ -691,8 +690,9 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
             nodes.append(cell)
 
     coords = np.asarray(nodes, dtype=np.int64)
-    # pairs come out sorted by (i, j), lo < hi lexicographically, so each
-    # node's adjacency list is ascending and edges are symmetric by construction
+    # pairs arrive sorted by (i, j), i < j, so every adjacency list is
+    # ascending; each line runs from the lexicographically smaller cell, so an
+    # edge is the same in both directions
     lo_ids, hi_ids = _roadmap_pairs(coords, grid.extent, params.prm_radius)
     keep = _lines_valid(occ, coords[lo_ids], coords[hi_ids], orthogonal)
     edges_i, edges_j = np.minimum(lo_ids, hi_ids)[keep], np.maximum(lo_ids, hi_ids)[keep]
