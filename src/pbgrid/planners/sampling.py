@@ -9,6 +9,7 @@ that add no node.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -41,6 +42,10 @@ from pbgrid.planners.base import (
 # and line steps per line-check block (each step carries a dozen int64 arrays).
 _PAIR_BLOCK = 1 << 20
 _STEP_BLOCK = 1 << 16
+# Per-offset line rows kept by _offset_line: every offset within radius 8 of
+# one connectivity in 3D (2 108 offsets, 1.7 MiB) fits. Rows grow with the
+# line, so a full cache of radius-inf lines on a 64^3 map holds about 27 MiB.
+_LINE_CACHE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,8 @@ class SamplerParams:
             raise ValueError(f"goal_bias must be in [0, 1], got {self.goal_bias}")
         if self.step_cells < 1:
             raise ValueError(f"step_cells must be >= 1, got {self.step_cells}")
-        if self.prm_radius <= 0 or self.rewire_radius <= 0:
+        # written so that NaN fails too; +inf is a legal radius
+        if not (self.prm_radius > 0 and self.rewire_radius > 0):
             raise ValueError("radii must be > 0")
         if self.prm_nodes is not None and self.prm_nodes < 0:
             raise ValueError(f"prm_nodes must be >= 0, got {self.prm_nodes}")
@@ -132,6 +138,42 @@ def _line_cost(line: Sequence[Cell]) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=_LINE_CACHE)
+def _offset_line(offset: Cell, orthogonal: bool) -> Tuple[np.ndarray, float]:
+    """The cells _line_valid probes on discrete_line(a, a + offset), as
+    read-only offsets from a (rows x dims), and the line's _line_cost.
+
+    The rounding term offset*i/n has a fractional part that is a multiple of
+    1/n, so shifting both endpoints by an integer cell a never flips a floor:
+    the line from a is the line from the origin moved by a, and its probes and
+    cost depend on the offset alone. Every probe lies in the box spanned by 0
+    and offset, so it is in bounds whenever both endpoints are.
+    """
+    line = discrete_line((0,) * len(offset), offset, orthogonal)
+    probes = []
+    for src, dst in zip(line, line[1:]):
+        probes.append(dst)
+        move = tuple(b - a for a, b in zip(src, dst))
+        probes.extend(tuple(a + d for a, d in zip(src, sh)) for sh in _shoulder_vectors(move))
+    rows = np.array(list(dict.fromkeys(probes)), dtype=np.int64).reshape(-1, len(offset))
+    rows.setflags(write=False)
+    return rows, _line_cost(line)
+
+
+def _offset_lines(
+    flat: np.ndarray, strides: np.ndarray, starts: np.ndarray, offsets: np.ndarray, orthogonal: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Validity and cost of discrete_line(a, a + offsets[k]) for every row k,
+    where a is the cell at flat index starts[k] of the flattened occupancy
+    flat; one gather over the memoized probes of all lines."""
+    rows = [_offset_line(o, orthogonal) for o in map(tuple, offsets.tolist())]
+    counts = [len(probes) for probes, _ in rows]
+    at = np.repeat(starts, counts) + np.concatenate([probes for probes, _ in rows]) @ strides
+    valid = np.ones(len(rows), dtype=bool)
+    valid[np.repeat(np.arange(len(rows)), counts)[flat[at]]] = False
+    return valid, np.array([line_cost for _, line_cost in rows])
+
+
 def _steer_walk(
     occ: np.ndarray, from_cell: Cell, toward: Cell, step_cells: int, orthogonal: bool
 ) -> List[Cell]:
@@ -169,14 +211,19 @@ def grid_steer(
 
 
 class _Tree:
-    """Cell tree with numpy-backed nearest-neighbor lookup."""
+    """Cell tree with numpy-backed nearest-neighbor lookup.
+
+    coords holds the node cells as int64 rows (first `size` rows in use), so
+    squared distances are exact integers; callers may read it for their own
+    radius queries.
+    """
 
     def __init__(self, root: Cell, dims: int, capacity: int):
         self.nodes: List[Cell] = [root]
         self.ids: Dict[Cell, int] = {root: 0}
         self.parent: List[int] = [-1]
         self.edges: List[Tuple[Cell, ...]] = [()]  # cells strictly between parent and node
-        self.coords = np.empty((max(capacity, 1), dims), dtype=float)
+        self.coords = np.empty((max(capacity, 1), dims), dtype=np.int64)
         self.coords[0] = root
 
     @property
@@ -184,7 +231,7 @@ class _Tree:
         return len(self.nodes)
 
     def nearest(self, cell: Cell) -> int:
-        diff = self.coords[: len(self.nodes)] - np.asarray(cell, dtype=float)
+        diff = self.coords[: len(self.nodes)] - np.asarray(cell, dtype=np.int64)
         return int(np.argmin((diff * diff).sum(axis=1)))  # ties: oldest node
 
     def add(self, cell: Cell, parent: int, between: Tuple[Cell, ...]) -> int:
@@ -470,24 +517,33 @@ def d_rrt_connect(grid: GridMap, model: MoveModel, params: SamplerParams = Sampl
 
 def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParams()) -> PlanOutcome:
     """d_rrt plus choose-parent and rewire within rewire_radius; runs the full
-    sample budget and returns the best goal-reaching branch."""
+    sample budget and returns the best goal-reaching branch.
+
+    Each new node q_new makes one radius query on the tree's coordinates and
+    one gather (_offset_lines) that checks, for every neighbour, both the
+    node -> q_new line (choose-parent) and the q_new -> node line (rewire);
+    discrete_line is not symmetric, so both directions are checked. The
+    parent is the first neighbour of least cost through it, taken only when
+    strictly cheaper than the steered edge from the nearest node. Rewires run
+    in ascending node id over the live costs, because a reparent lowers the
+    costs of later neighbours in its subtree. Edge cells are rebuilt with
+    discrete_line only for the chosen parent and for real rewires.
+    """
     t0 = time.perf_counter()
     rng, free = _sampler_prelude(grid, params)
     if grid.agent == grid.goal:
         return _trivial(grid, t0)
     occ = grid.occupancy
+    flat = occ.reshape(-1)
+    strides = _row_major_strides(occ.shape)
     orthogonal = model.connectivity is Connectivity.ORTHOGONAL
     moves = set(model.moves(grid.dims))
     goal = grid.goal
     budget = params.resolved_max_samples(grid)
     tree = _Tree(grid.agent, grid.dims, grid.free_count + 1)
-    cost = [0.0]
+    cost = np.zeros(len(tree.coords))
     children: List[List[int]] = [[]]
     r2 = params.rewire_radius * params.rewire_radius
-
-    def neighbor_ids(cell: Cell) -> np.ndarray:
-        diff = tree.coords[: tree.size] - np.asarray(cell, dtype=float)
-        return np.nonzero((diff * diff).sum(axis=1) <= r2)[0]
 
     def reparent(nid: int, new_parent: int, between: Tuple[Cell, ...], new_cost: float):
         old = tree.parent[nid]
@@ -513,43 +569,47 @@ def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerP
         if len(walked) < 2 or walked[-1] in tree.ids:
             continue
         q_new = walked[-1]
+        q = np.asarray(q_new, dtype=np.int64)
+        diff = tree.coords[: tree.size] - q
+        nbrs = np.flatnonzero((diff * diff).sum(axis=1) <= r2)
+        k = len(nbrs)
 
         # choose parent: cheapest valid connection among radius neighbors
         best_parent = base
         best_edge = tuple(walked[1:-1])
         best_cost = cost[base] + _line_cost(walked)
-        for nid in neighbor_ids(q_new):
-            nid = int(nid)
-            if nid == base:
-                continue
-            line = discrete_line(tree.nodes[nid], q_new, orthogonal)
-            if not _line_valid(occ, line):
-                continue
-            c = cost[nid] + _line_cost(line)
-            if c < best_cost:
-                best_cost = c
-                best_parent = nid
-                best_edge = tuple(line[1:-1])
+        if k:
+            # rows [:k] run node -> q_new (choose-parent), rows [k:] q_new -> node (rewire)
+            starts = np.concatenate([tree.coords[nbrs] @ strides, np.full(k, q @ strides)])
+            valid, line_cost = _offset_lines(
+                flat, strides, starts, np.concatenate([-diff[nbrs], diff[nbrs]]), orthogonal
+            )
+            through = np.where(valid[:k] & (nbrs != base), cost[nbrs] + line_cost[:k], np.inf)
+            j = int(np.argmin(through))  # first of the cheapest
+            if through[j] < best_cost:
+                best_parent = int(nbrs[j])
+                best_cost = through[j]
+                best_edge = discrete_line(tree.nodes[best_parent], q_new, orthogonal)[1:-1]
         new_id = tree.add(q_new, best_parent, best_edge)
-        cost.append(best_cost)
+        cost[new_id] = best_cost
         children.append([])
         children[best_parent].append(new_id)
 
-        # rewire: strictly cheaper routes through q_new (never creates a cycle)
-        for nid in neighbor_ids(q_new):
-            nid = int(nid)
-            if nid == new_id or nid == best_parent or nid == 0:
-                continue
-            line = discrete_line(q_new, tree.nodes[nid], orthogonal)
-            if not _line_valid(occ, line):
-                continue
-            c = best_cost + _line_cost(line)
-            if c < cost[nid] - 1e-12:
-                reparent(nid, new_id, tuple(line[1:-1]), c)
+        # rewire: strictly cheaper routes through q_new (never creates a cycle).
+        # Costs only fall during the loop, so neighbours that fail the test on
+        # the costs before it can be skipped; the rest are tested on live costs.
+        if k:
+            rewire_cost = best_cost + line_cost[k:]
+            maybe = valid[k:] & (rewire_cost < cost[nbrs] - 1e-12) & (nbrs != best_parent) & (nbrs != 0)
+            for i in np.flatnonzero(maybe).tolist():
+                nid = int(nbrs[i])
+                if rewire_cost[i] < cost[nid] - 1e-12:
+                    line = discrete_line(q_new, tree.nodes[nid], orthogonal)
+                    reparent(nid, new_id, line[1:-1], rewire_cost[i])
 
         if q_new != goal and goal not in tree.ids and _goal_connect(occ, q_new, goal, moves):
             gid = tree.add(goal, new_id, ())
-            cost.append(best_cost + _STEP_COST[sum(1 for c, g in zip(q_new, goal) if c != g)])
+            cost[gid] = best_cost + _STEP_COST[sum(1 for c, g in zip(q_new, goal) if c != g)]
             children.append([])
             children[new_id].append(gid)
 

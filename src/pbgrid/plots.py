@@ -317,8 +317,19 @@ def _render_violin(stats: AggregateStats, metric: str) -> str:
                 )
             )
         )
-        if values.size < 2 or float(values.std()) == 0.0:
-            reason = "fewer than two samples" if values.size < 2 else "zero spread"
+        reason = None
+        if values.size < 2:
+            reason = "fewer than two samples"
+        elif float(values.std()) == 0.0:
+            reason = "zero spread"
+        else:
+            grid = np.linspace(float(values.min()) - pad, float(values.max()) + pad, 64)
+            dens = _kde(values, grid)
+            # a spread far narrower than the value grid's steps leaves a
+            # density that underflows to zero at every grid point
+            if not dens.max() > 0:
+                reason = "zero density"
+        if reason:
             table.append(
                 f"warning: {reason} for {cell.planner}/{cell.map_type}; drew a bar instead"
             )
@@ -332,8 +343,6 @@ def _render_violin(stats: AggregateStats, metric: str) -> str:
                     f'fill="{color}"/>'
                 )
             continue
-        grid = np.linspace(float(values.min()) - pad, float(values.max()) + pad, 64)
-        dens = _kde(values, grid)
         width = dens / dens.max() * half
         right = [(cx + w, canvas.ypix(g)) for g, w in zip(grid, width)]
         left = [(cx - w, canvas.ypix(g)) for g, w in zip(grid[::-1], width[::-1])]

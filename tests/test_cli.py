@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path as FsPath
 
 import pytest
 
@@ -34,10 +36,14 @@ def test_version_is_machine_readable(capsys):
 
 
 def test_module_entry_point_runs():
+    # the subprocess does not see pytest's pythonpath setting, so hand it src/
+    src = str(FsPath(pbgrid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-m", "pbgrid.cli", "--version"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["result_schema"] == RESULT_SCHEMA
@@ -95,6 +101,14 @@ def test_generate_reversed_fill_is_usage_error(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # run
+
+
+@pytest.mark.parametrize("flag", ["--d-rrt-star.rewire_radius", "--d-sprm.prm_radius"])
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_run_rejects_bad_radius(flag, value, capsys):
+    planner = flag[2:].split(".")[0]
+    assert main(["run", "tests/fixtures/u_trap.map", "--planner", planner, flag, value]) == 1
+    assert "usage error: radii must be > 0" in capsys.readouterr().err
 
 
 def test_run_astar_prints_zero_deviation(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from pbgrid.grid import Connectivity, GridMap, MapError, MoveModel, Path, validate_path
 from pbgrid.planners.base import (
+    BUDGET_EXHAUSTED,
     DICT_ENTRY_BYTES,
     ROADMAP_DISCONNECTED,
     TREE_NODE_BYTES,
@@ -16,13 +17,19 @@ from pbgrid.planners.base import (
 from pbgrid.planners import sampling
 from pbgrid.planners.graph import astar, dijkstra
 from pbgrid.planners.sampling import (
+    _STEP_COST,
     SamplerParams,
+    _goal_connect,
+    _line_cost,
     _line_valid,
     _lines_valid,
     _move_legal,
+    _offset_line,
     _roadmap_pairs,
     _sampler_prelude,
     _steer_walk,
+    _Tree,
+    _tree_outcome,
     d_rrt,
     d_rrt_connect,
     d_rrt_star,
@@ -291,6 +298,147 @@ def test_rrt_star_deterministic_and_valid():
         assert a.path.cost >= astar(g, FULL).path.cost - 1e-9
 
 
+def _brute_rrt_star(grid, model, params):
+    """d_rrt_star as first written: a float radius query per phase and one
+    discrete_line + _line_valid + _line_cost per neighbour, in Python."""
+    rng, free = _sampler_prelude(grid, params)
+    occ = grid.occupancy
+    orthogonal = model.connectivity is Connectivity.ORTHOGONAL
+    moves = set(model.moves(grid.dims))
+    goal = grid.goal
+    tree = _Tree(grid.agent, grid.dims, grid.free_count + 1)
+    cost = [0.0]
+    children = [[]]
+    r2 = params.rewire_radius * params.rewire_radius
+
+    def neighbor_ids(cell):
+        diff = tree.coords[: tree.size] - np.asarray(cell, dtype=float)
+        return np.nonzero((diff * diff).sum(axis=1) <= r2)[0]
+
+    def reparent(nid, new_parent, between, new_cost):
+        old = tree.parent[nid]
+        if old >= 0:
+            children[old].remove(nid)
+        tree.parent[nid] = new_parent
+        tree.edges[nid] = between
+        children[new_parent].append(nid)
+        delta = cost[nid] - new_cost
+        stack = [nid]
+        while stack:
+            k = stack.pop()
+            cost[k] -= delta
+            stack.extend(children[k])
+
+    for _ in range(params.resolved_max_samples(grid)):
+        if params.goal_bias > 0.0 and rng.random() < params.goal_bias:
+            sample = goal
+        else:
+            sample = tuple(int(c) for c in free[rng.integers(len(free))])
+        base = tree.nearest(sample)
+        walked = _steer_walk(occ, tree.nodes[base], sample, params.step_cells, orthogonal)
+        if len(walked) < 2 or walked[-1] in tree.ids:
+            continue
+        q_new = walked[-1]
+        best_parent = base
+        best_edge = tuple(walked[1:-1])
+        best_cost = cost[base] + _line_cost(walked)
+        for nid in neighbor_ids(q_new):
+            nid = int(nid)
+            if nid == base:
+                continue
+            line = discrete_line(tree.nodes[nid], q_new, orthogonal)
+            if not _line_valid(occ, line):
+                continue
+            c = cost[nid] + _line_cost(line)
+            if c < best_cost:
+                best_cost, best_parent, best_edge = c, nid, tuple(line[1:-1])
+        new_id = tree.add(q_new, best_parent, best_edge)
+        cost.append(best_cost)
+        children.append([])
+        children[best_parent].append(new_id)
+        for nid in neighbor_ids(q_new):
+            nid = int(nid)
+            if nid == new_id or nid == best_parent or nid == 0:
+                continue
+            line = discrete_line(q_new, tree.nodes[nid], orthogonal)
+            if not _line_valid(occ, line):
+                continue
+            c = best_cost + _line_cost(line)
+            if c < cost[nid] - 1e-12:
+                reparent(nid, new_id, tuple(line[1:-1]), c)
+        if q_new != goal and goal not in tree.ids and _goal_connect(occ, q_new, goal, moves):
+            gid = tree.add(goal, new_id, ())
+            cost.append(best_cost + _STEP_COST[sum(1 for c, g in zip(q_new, goal) if c != g)])
+            children.append([])
+            children[new_id].append(gid)
+
+    branch = tree.branch(tree.ids[goal]) if goal in tree.ids else None
+    return _tree_outcome(grid, [tree], branch, 0.0, None if branch else BUDGET_EXHAUSTED)
+
+
+def assert_same_outcome(got, want):
+    assert got.success == want.success
+    assert got.failure_reason == want.failure_reason
+    assert (got.path and got.path.cells) == (want.path and want.path.cells)
+    assert (got.path and got.path.cost) == (want.path and want.path.cost)
+    assert got.trace.explored == want.trace.explored
+    assert got.trace.step_log == want.trace.step_log
+    assert got.trace.frontier_peak == want.trace.frontier_peak
+    assert got.peak_memory_bytes == want.peak_memory_bytes
+
+
+@pytest.mark.parametrize("dims,size,samples", [(2, 14, 300), (3, 7, 200)])
+@pytest.mark.parametrize("connectivity", list(Connectivity))
+def test_rrt_star_matches_brute_force(dims, size, samples, connectivity):
+    model = MoveModel(connectivity)
+    rng = np.random.default_rng(79 + dims)
+    compared = 0
+    for radius in (1.0, math.sqrt(2.0), 2.5, 8.0, math.inf):
+        for seed in range(3):
+            g = _border_instance(rng, dims, size, fill=0.2)
+            if g is None:
+                continue
+            p = SamplerParams(seed=seed, max_samples=samples, rewire_radius=radius)
+            assert_same_outcome(d_rrt_star(g, model, p), _brute_rrt_star(g, model, p))
+            compared += 1
+    assert compared >= 12
+
+
+@pytest.mark.parametrize("dims,reach", [(2, 8), (3, 4)])
+@pytest.mark.parametrize("orthogonal", [False, True])
+def test_offset_line_matches_line_walk(dims, reach, orthogonal):
+    # every offset within reach, from the lowest and highest start that keeps
+    # the line on the map (both on the border) and from a random one
+    rng = np.random.default_rng(83 + dims)
+    size = 2 * reach + 3
+    occ = rng.random((size,) * dims) < 0.2
+    strides = np.array([size ** (dims - 1 - k) for k in range(dims)])
+    axes = np.meshgrid(*[np.arange(-reach, reach + 1)] * dims, indexing="ij")
+    offsets = np.stack(axes, axis=-1).reshape(-1, dims)
+    offsets = offsets[(offsets * offsets).sum(axis=1) <= reach * reach]
+    for o in map(tuple, offsets.tolist()):
+        probes, line_cost = _offset_line(o, orthogonal)
+        assert probes.shape[1] == dims
+        lo_box, hi_box = np.minimum(o, 0), np.maximum(o, 0)
+        assert ((probes >= lo_box) & (probes <= hi_box)).all()
+        low = np.maximum(0, -np.array(o))
+        high = np.minimum(size - 1, size - 1 - np.array(o))
+        for a in (low, high, rng.integers(low, high + 1)):
+            start = tuple(int(c) for c in a)
+            line = discrete_line(start, tuple(x + d for x, d in zip(start, o)), orthogonal)
+            assert line_cost == _line_cost(line)
+            got = not occ.reshape(-1)[(a + probes) @ strides].any()
+            assert got == _line_valid(occ, line)
+
+
+def test_offset_line_rows_are_read_only():
+    probes, _ = _offset_line((3, -2), False)
+    assert not probes.flags.writeable
+    with pytest.raises(ValueError):
+        probes[0, 0] = 9
+    assert _offset_line((3, -2), False)[0] is probes  # memoized
+
+
 # --- d_sprm ------------------------------------------------------------------
 
 def test_sprm_direct_edge_when_in_radius():
@@ -506,8 +654,12 @@ def test_sampler_rejects_bad_params():
         SamplerParams(max_samples=0)
     with pytest.raises(ValueError):
         SamplerParams(step_cells=0)
-    with pytest.raises(ValueError):
-        SamplerParams(prm_radius=0.0)
+    for radius in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            SamplerParams(prm_radius=radius)
+        with pytest.raises(ValueError):
+            SamplerParams(rewire_radius=radius)
+    SamplerParams(prm_radius=math.inf, rewire_radius=math.inf)
 
 
 def test_sampler_trivial_when_agent_is_goal():

@@ -107,6 +107,19 @@ def test_violin_zero_spread_also_falls_back(tmp_path):
     assert "warning: zero spread" in svg
 
 
+def test_violin_zero_density_falls_back(tmp_path):
+    # astar's spread of 1e-12 gives a bandwidth so narrow that its density
+    # underflows to 0.0 on a value grid padded to fit d-rrt's wide spread
+    devs = [1.0] * 50 + [1.0 + 1e-12]
+    runs = [run_record("astar", dev=d, seed=i) for i, d in enumerate(devs)]
+    runs += [run_record("d-rrt", dev=float(d), seed=d) for d in range(0, 40, 4)]
+    written = emit_plots(AggregateStats(runs=tuple(runs)), str(tmp_path), kinds=("violin",))
+    svg = open(written["violin"], encoding="utf-8").read()
+    assert not re.search(r"\bnan\b", svg, re.IGNORECASE)
+    assert svg.count("<polygon") == 1  # d-rrt's violin
+    assert "warning: zero density for astar/uniform; drew a bar instead" in svg
+
+
 def test_scatter_two_tags_two_colors_one_shape(tmp_path):
     stats = AggregateStats(
         runs=(
