@@ -42,7 +42,7 @@ from pbgrid.analyzer import (
 )
 from pbgrid.grid import Connectivity, DomainError, GridMap, MapError, MoveModel, distance_transform
 from pbgrid.mapgen import ConfigError, GenConfig, MapType, generate, place_agent_goal
-from pbgrid.mapio import NATIVE_VERSION, ParseError, load_native, parse_movingai, save_native
+from pbgrid.mapio import NATIVE_VERSION, ParseError, load_map, parse_movingai, save_native
 from pbgrid.metrics import InconsistencyError, MetricReport, compute_report
 from pbgrid.planners import (
     PlannerEntry,
@@ -272,13 +272,6 @@ def _model_from(ns) -> MoveModel:
     return MoveModel(conn)
 
 
-def _load_map_file(path: str) -> GridMap:
-    data = FsPath(path).read_bytes()
-    if data.startswith(b"pbgrid "):
-        return load_native(data)
-    return parse_movingai(data)
-
-
 def cmd_generate(ns, overrides) -> int:
     if overrides:
         raise UsageError("per-planner parameters do not apply to generate")
@@ -343,7 +336,7 @@ def _print_report(report: MetricReport) -> None:
 def cmd_run(ns, overrides) -> int:
     entry = _resolve_or_usage(ns.planner)
     typed = _typed_overrides(overrides, [entry]).get(entry.name, {})
-    grid = _load_map_file(ns.map)
+    grid = load_map(ns.map)
     model = _model_from(ns)
     if ns.start is not None or ns.goal is not None:
         agent = tuple(ns.start) if ns.start is not None else grid.agent

@@ -10,6 +10,10 @@ fixed here:
 * a multi-axis move is legal only when every cell reached by a proper
   axis-combination of the move is free (the corner-cutting rule: no squeezing
   between diagonally touching obstacles; direction-symmetric by construction).
+
+Planners read that rule from one place, the per-move legality tables of
+FlatGrid; neighbors() and validate_path() spell it out cell by cell and serve
+as the reference the tables are tested against.
 """
 
 from __future__ import annotations
@@ -336,24 +340,29 @@ def validate_path(
 
 
 class FlatGrid:
-    """Planner-facing view of a map: padded flat occupancy plus move tables.
+    """Planner-facing view of a map: one move-legality table per move.
 
     The occupancy field is embedded in a one-cell obstacle border and
-    flattened, so planners index a bytes object with precomputed deltas and
-    never bounds-check. ``moves`` holds one entry per move vector, in the
-    same lexicographic order as neighbors().
+    flattened row-major, so a cell is a flat index and a move adds a fixed
+    delta; no planner bounds-checks. ``moves`` holds one entry
+    ``(delta, legal, cost, vec)`` per move vector, in the same lexicographic
+    order as neighbors(), and ``step`` maps each vector to its entry.
+    ``legal[idx]`` is 1 when the move from flat index idx lands on a free cell
+    and cuts no corner (its target and every shoulder are free), 0 otherwise:
+    the corner-cutting rule of neighbors() and validate_path(), read as one
+    bytes lookup. The tables take one byte per padded cell and move, 26 bytes
+    per cell in 3D under Full connectivity.
     """
 
-    __slots__ = ("grid", "model", "blocked", "moves", "strides", "agent", "goal", "dims")
+    __slots__ = ("grid", "model", "size", "moves", "step", "strides", "agent", "goal", "dims")
 
     def __init__(self, grid: GridMap, model: MoveModel):
         self.grid = grid
         self.model = model
         self.dims = grid.dims
-        padded = np.ones(tuple(s + 2 for s in grid.extent), dtype=np.uint8)
-        inner = tuple(slice(1, -1) for _ in range(grid.dims))
-        padded[inner] = grid.occupancy
-        self.blocked = padded.tobytes()
+        padded = np.ones(tuple(s + 2 for s in grid.extent), dtype=bool)
+        padded[tuple(slice(1, -1) for _ in range(grid.dims))] = grid.occupancy
+        self.size = padded.size
 
         shape = padded.shape
         strides = [1] * len(shape)
@@ -361,18 +370,27 @@ class FlatGrid:
             strides[i] = strides[i + 1] * shape[i + 1]
         self.strides = tuple(strides)
 
-        def flat_delta(vec: Cell) -> int:
-            return sum(d * s for d, s in zip(vec, strides))
-
+        # free[idx + d] for every flat index idx and move delta d, as views into
+        # the free mask with reach obstacle entries on either side; every
+        # shoulder of a move is itself a move of the model
+        vecs = model.moves(grid.dims)
+        deltas = (np.array(vecs) @ np.array(strides)).tolist()
+        reach = sum(strides)
+        free = np.zeros(padded.size + 2 * reach, dtype=bool)
+        free[reach:-reach] = ~padded.reshape(-1)
+        free_at = {vec: free[reach + d:reach + d + padded.size] for vec, d in zip(vecs, deltas)}
         self.moves = tuple(
             (
-                flat_delta(vec),
-                tuple(flat_delta(sh) for sh in _shoulder_vectors(vec)),
-                _STEP_COST[sum(1 for d in vec if d != 0)],
+                d,
+                functools.reduce(
+                    np.logical_and, [free_at[sh] for sh in _shoulder_vectors(vec)], free_at[vec]
+                ).tobytes(),
+                _STEP_COST[sum(1 for c in vec if c != 0)],
                 vec,
             )
-            for vec in model.moves(grid.dims)
+            for vec, d in zip(vecs, deltas)
         )
+        self.step = {entry[3]: entry for entry in self.moves}
         self.agent = self.to_flat(grid.agent) if grid.agent is not None else None
         self.goal = self.to_flat(grid.goal) if grid.goal is not None else None
 
@@ -385,14 +403,3 @@ class FlatGrid:
             out.append(idx // s - 1)
             idx %= s
         return tuple(out)
-
-    def move_ok(self, idx: int, move_entry) -> bool:
-        """Is this move legal from flat index idx (target free, no corner cut)?"""
-        delta, shoulders, _, _ = move_entry
-        blocked = self.blocked
-        if blocked[idx + delta]:
-            return False
-        for sh in shoulders:
-            if blocked[idx + sh]:
-                return False
-        return True

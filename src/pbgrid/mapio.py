@@ -20,12 +20,13 @@ strict, so save(load(text)) == text holds byte for byte.
 MovingAI ``.map`` files carry a four-line header (type/height/width/map)
 followed by one character per cell: ``.``, ``G``, ``S`` are passable,
 ``@``, ``O``, ``T``, ``W`` are obstacles.
+
+``load_map`` reads a map file of either format; a file that starts with the
+native version line's first word is native.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path as FilePath
 from typing import FrozenSet, List, Optional, Tuple, Union
 
@@ -57,27 +58,6 @@ class ParseError(ValueError):
 
 class UnsupportedVersionError(ParseError):
     """The version line names a format this reader does not speak."""
-
-
-class MapFormat(Enum):
-    NATIVE = "native"
-    MOVINGAI2D = "movingai"
-
-
-@dataclass(frozen=True)
-class ExternalMapSource:
-    """A map file on disk plus the character conventions to read it with."""
-
-    format: MapFormat
-    path: Union[str, FilePath]
-    passable_chars: FrozenSet[str] = MOVINGAI_PASSABLE
-    obstacle_chars: FrozenSet[str] = MOVINGAI_OBSTACLE
-
-    def __post_init__(self) -> None:
-        if not self.passable_chars or not self.obstacle_chars:
-            raise ValueError("character sets must be non-empty")
-        if self.passable_chars & self.obstacle_chars:
-            raise ValueError("passable and obstacle characters overlap")
 
 
 def _coerce_text(text: Union[str, bytes]) -> str:
@@ -250,9 +230,10 @@ def parse_movingai(
     return GridMap(occ)
 
 
-def load_source(source: ExternalMapSource) -> GridMap:
-    """Read one map file according to its declared format."""
-    data = FilePath(source.path).read_bytes()
-    if source.format is MapFormat.NATIVE:
+def load_map(path: Union[str, FilePath]) -> GridMap:
+    """Read one map file: the native format when it starts with the native
+    version line's first word, MovingAI otherwise."""
+    data = FilePath(path).read_bytes()
+    if data.startswith(b"pbgrid "):
         return load_native(data)
-    return parse_movingai(data, source.passable_chars, source.obstacle_chars)
+    return parse_movingai(data)

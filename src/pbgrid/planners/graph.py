@@ -77,7 +77,6 @@ def _heap_search(
         return _trivial_outcome(grid, time.perf_counter() - t0)
 
     fg = FlatGrid(grid, model)
-    blocked = fg.blocked
     moves = fg.moves
     goal_cell = grid.goal
     start_idx, goal_idx = fg.agent, fg.goal
@@ -103,17 +102,10 @@ def _heap_search(
         if idx == goal_idx:
             found = True
             break
-        for delta, shoulders, cost, vec in moves:
+        for delta, legal, cost, vec in moves:
+            if not legal[idx]:
+                continue
             nidx = idx + delta
-            if blocked[nidx]:
-                continue
-            ok = True
-            for sh in shoulders:
-                if blocked[idx + sh]:
-                    ok = False
-                    break
-            if not ok:
-                continue
             ng = g_here + cost
             if ng < g_cost.get(nidx, float("inf")):
                 g_cost[nidx] = ng
@@ -186,11 +178,10 @@ def wavefront(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pl
         return _trivial_outcome(grid, time.perf_counter() - t0)
 
     fg = FlatGrid(grid, model)
-    blocked = fg.blocked
     moves = fg.moves
     start_idx, goal_idx = fg.agent, fg.goal
 
-    wave = [-1] * len(blocked)
+    wave = [-1] * fg.size
     wave[goal_idx] = 0
     queue = deque([goal_idx])
     assigned = [goal_idx]
@@ -198,16 +189,9 @@ def wavefront(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pl
     while queue:
         idx = queue.popleft()
         w1 = wave[idx] + 1
-        for delta, shoulders, _cost, _vec in moves:
+        for delta, legal, _cost, _vec in moves:
             nidx = idx + delta
-            if blocked[nidx] or wave[nidx] >= 0:
-                continue
-            ok = True
-            for sh in shoulders:
-                if blocked[idx + sh]:
-                    ok = False
-                    break
-            if not ok:
+            if not legal[idx] or wave[nidx] >= 0:
                 continue
             wave[nidx] = w1
             queue.append(nidx)
@@ -241,16 +225,9 @@ def wavefront(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pl
         best_idx = -1
         best_wave = wave[idx]
         best_vec = None
-        for delta, shoulders, _cost, vec in order:
+        for delta, legal, _cost, vec in order:
             nidx = idx + delta
-            if blocked[nidx] or wave[nidx] < 0 or wave[nidx] >= best_wave:
-                continue
-            ok = True
-            for sh in shoulders:
-                if blocked[idx + sh]:
-                    ok = False
-                    break
-            if ok:
+            if legal[idx] and 0 <= wave[nidx] < best_wave:
                 best_idx = nidx
                 best_wave = wave[nidx]
                 best_vec = vec

@@ -18,12 +18,12 @@ from ..grid import (
     Cell,
     Connectivity,
     DomainError,
+    FlatGrid,
     GridMap,
     MoveModel,
     Path,
     distance_transform,
     euclidean_distance,
-    neighbors,
 )
 from .base import (
     DICT_ENTRY_BYTES,
@@ -36,7 +36,7 @@ from .base import (
     SearchTrace,
 )
 from .graph import _require_endpoints, _trivial_outcome
-from .sampling import _move_legal, discrete_line
+from .sampling import discrete_line
 
 _PROGRESS_EPS = 1e-12
 
@@ -62,13 +62,12 @@ def _heading_ring(model: MoveModel) -> Tuple[Tuple[Cell, ...], Dict[Cell, int]]:
     return ring, {d: i for i, d in enumerate(ring)}
 
 
-def _step_ok(grid: GridMap, pos: Cell, delta: Cell) -> bool:
-    dst = tuple(p + d for p, d in zip(pos, delta))
-    return grid.in_bounds(dst) and _move_legal(grid.occupancy, pos, dst)
+def _step_ok(fg: FlatGrid, pos: Cell, delta: Cell) -> bool:
+    return fg.step[delta][1][fg.to_flat(pos)] == 1
 
 
 def _slide(
-    grid: GridMap,
+    fg: FlatGrid,
     pos: Cell,
     heading: int,
     ring: Tuple[Cell, ...],
@@ -81,7 +80,7 @@ def _slide(
     for k in range(n):
         cand = (heading + quarter - k) % n if left else (heading - quarter + k) % n
         delta = ring[cand]
-        if _step_ok(grid, pos, delta):
+        if _step_ok(fg, pos, delta):
             return tuple(p + d for p, d in zip(pos, delta)), cand
     return None, heading
 
@@ -142,6 +141,7 @@ def bug1(
     if grid.agent == grid.goal:
         return _trivial_outcome(grid, time.perf_counter() - t0)
 
+    fg = FlatGrid(grid, model)
     ring, ring_index = _heading_ring(model)
     quarter = len(ring) // 4
     orth = model.connectivity is Connectivity.ORTHOGONAL
@@ -160,18 +160,16 @@ def bug1(
         i = 0
         blocked: Optional[int] = None
         while i + 1 < len(line):
-            if _move_legal(grid.occupancy, line[i], line[i + 1]):
-                i += 1
-                pos = line[i]
-                steps += 1
-                log.append((pos, euclidean_distance(pos, goal), MOTION_TO_GOAL))
-                if pos != goal and steps >= limit:
-                    failure = STEP_LIMIT
-                    break
-            else:
-                blocked = ring_index[
-                    tuple(b - a for a, b in zip(line[i], line[i + 1]))
-                ]
+            move = tuple(b - a for a, b in zip(line[i], line[i + 1]))
+            if not _step_ok(fg, line[i], move):
+                blocked = ring_index[move]
+                break
+            i += 1
+            pos = line[i]
+            steps += 1
+            log.append((pos, euclidean_distance(pos, goal), MOTION_TO_GOAL))
+            if pos != goal and steps >= limit:
+                failure = STEP_LIMIT
                 break
         if failure is not None or pos == goal:
             break
@@ -188,7 +186,7 @@ def bug1(
         best_idx, best_d = 0, d_hit
         seen: Set[Tuple[Cell, int]] = {(pos, heading)}
         while failure is None:
-            nxt, heading = _slide(grid, pos, heading, ring, quarter, follow_left)
+            nxt, heading = _slide(fg, pos, heading, ring, quarter, follow_left)
             if nxt is None:
                 failure = UNREACHABLE  # nowhere to move at all
                 break
@@ -253,6 +251,7 @@ def bug2(
     if grid.agent == grid.goal:
         return _trivial_outcome(grid, time.perf_counter() - t0)
 
+    fg = FlatGrid(grid, model)
     ring, ring_index = _heading_ring(model)
     quarter = len(ring) // 4
     orth = model.connectivity is Connectivity.ORTHOGONAL
@@ -270,18 +269,16 @@ def bug2(
     while pos != goal and failure is None:
         blocked: Optional[int] = None
         while i + 1 < len(line):
-            if _move_legal(grid.occupancy, line[i], line[i + 1]):
-                i += 1
-                pos = line[i]
-                steps += 1
-                log.append((pos, euclidean_distance(pos, goal), MOTION_TO_GOAL))
-                if pos != goal and steps >= limit:
-                    failure = STEP_LIMIT
-                    break
-            else:
-                blocked = ring_index[
-                    tuple(b - a for a, b in zip(line[i], line[i + 1]))
-                ]
+            move = tuple(b - a for a, b in zip(line[i], line[i + 1]))
+            if not _step_ok(fg, line[i], move):
+                blocked = ring_index[move]
+                break
+            i += 1
+            pos = line[i]
+            steps += 1
+            log.append((pos, euclidean_distance(pos, goal), MOTION_TO_GOAL))
+            if pos != goal and steps >= limit:
+                failure = STEP_LIMIT
                 break
         if failure is not None or pos == goal:
             break
@@ -294,7 +291,7 @@ def bug2(
             blocked + quarter
         ) % len(ring)
         while failure is None:
-            nxt, heading = _slide(grid, pos, heading, ring, quarter, follow_left)
+            nxt, heading = _slide(fg, pos, heading, ring, quarter, follow_left)
             if nxt is None:
                 failure = UNREACHABLE
                 break
@@ -377,6 +374,7 @@ def potential_field(
                 u += k_rep * (1.0 / d - 1.0 / radius) ** 2
         return u
 
+    fg = FlatGrid(grid, model)
     pos = grid.agent
     u_cur = energy(pos)
     log: List[Tuple[Cell, float, float]] = [(pos, u_cur, MOTION_TO_GOAL)]
@@ -384,7 +382,11 @@ def potential_field(
     failure: Optional[str] = None
     while pos != goal:
         best: Optional[Tuple[float, Cell]] = None
-        for nb, _ in neighbors(grid, pos, model):
+        idx = fg.to_flat(pos)
+        for _, legal, _, vec in fg.moves:
+            if not legal[idx]:
+                continue
+            nb = tuple(p + d for p, d in zip(pos, vec))
             u = energy(nb)
             if u < u_cur - _PROGRESS_EPS and (best is None or (u, nb) < best):
                 best = (u, nb)

@@ -10,11 +10,12 @@ that add no node.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from pbgrid.grid import (
     _STEP_COST,
     Cell,
     Connectivity,
+    FlatGrid,
     GridMap,
     MapError,
     MoveModel,
@@ -114,21 +116,23 @@ def discrete_line(a: Cell, b: Cell, orthogonal: bool = False) -> Tuple[Cell, ...
     return tuple([*_line_cells(a, b, orthogonal)])
 
 
-def _move_legal(occ: np.ndarray, src: Cell, dst: Cell) -> bool:
-    if occ[dst]:
-        return False
-    move = tuple(b - a for a, b in zip(src, dst))
-    for sh in _shoulder_vectors(move):
-        if occ[tuple(a + d for a, d in zip(src, sh))]:
-            return False
-    return True
+def _legal_prefix(fg: FlatGrid, cells: Iterable[Cell]) -> List[Cell]:
+    """The longest prefix (>= 1 cell) of a walk of model moves whose every
+    step is legal: no obstacle, no corner cut."""
+    cells = iter(cells)
+    walked = [next(cells)]
+    idx = fg.to_flat(walked[0])
+    for nxt in cells:
+        delta, legal, _, _ = fg.step[tuple(b - a for a, b in zip(walked[-1], nxt))]
+        if not legal[idx]:
+            break
+        idx += delta
+        walked.append(nxt)
+    return walked
 
 
-def _line_valid(occ: np.ndarray, line: Sequence[Cell]) -> bool:
-    for src, dst in zip(line, line[1:]):
-        if not _move_legal(occ, src, dst):
-            return False
-    return True
+def _line_valid(fg: FlatGrid, line: Sequence[Cell]) -> bool:
+    return len(_legal_prefix(fg, line)) == len(line)
 
 
 def _line_cost(line: Sequence[Cell]) -> float:
@@ -140,8 +144,9 @@ def _line_cost(line: Sequence[Cell]) -> float:
 
 @functools.lru_cache(maxsize=_LINE_CACHE)
 def _offset_line(offset: Cell, orthogonal: bool) -> Tuple[np.ndarray, float]:
-    """The cells _line_valid probes on discrete_line(a, a + offset), as
-    read-only offsets from a (rows x dims), and the line's _line_cost.
+    """The cells whose freedom makes discrete_line(a, a + offset) a legal walk
+    (each step's target and corner-cut shoulders, as _shoulder_vectors gives
+    them), as read-only offsets from a (rows x dims), and the line's _line_cost.
 
     The rounding term offset*i/n has a fractional part that is a multiple of
     1/n, so shifting both endpoints by an integer cell a never flips a floor:
@@ -175,17 +180,12 @@ def _offset_lines(
 
 
 def _steer_walk(
-    occ: np.ndarray, from_cell: Cell, toward: Cell, step_cells: int, orthogonal: bool
+    fg: FlatGrid, from_cell: Cell, toward: Cell, step_cells: int, orthogonal: bool
 ) -> List[Cell]:
     """Walk the discrete line up to step_cells cells, stopping before any
     obstacle or corner-cut violation. Returns the walked prefix (>= 1 cell)."""
     cells = _line_cells(from_cell, toward, orthogonal)
-    walked = [next(cells)]
-    for _, nxt in zip(range(step_cells), cells):
-        if not _move_legal(occ, walked[-1], nxt):
-            break
-        walked.append(nxt)
-    return walked
+    return _legal_prefix(fg, itertools.islice(cells, step_cells + 1))
 
 
 def grid_steer(
@@ -201,7 +201,7 @@ def grid_steer(
     if not grid.is_free(from_cell):
         raise MapError(f"steer origin {from_cell} is not a free cell")
     walked = _steer_walk(
-        grid.occupancy,
+        FlatGrid(grid, model),
         from_cell,
         tuple(int(c) for c in toward),
         step_cells,
@@ -299,11 +299,10 @@ def _trivial(grid: GridMap, t0: float) -> PlanOutcome:
     )
 
 
-def _goal_connect(occ: np.ndarray, cell: Cell, goal: Cell, model_moves) -> bool:
-    move = tuple(g - c for c, g in zip(cell, goal))
-    if move not in model_moves:
-        return False
-    return _move_legal(occ, cell, goal)
+def _goal_connect(fg: FlatGrid, cell: Cell, goal: Cell) -> bool:
+    """Is goal one legal move away from cell?"""
+    entry = fg.step.get(tuple(g - c for c, g in zip(cell, goal)))
+    return entry is not None and entry[1][fg.to_flat(cell)] == 1
 
 
 def _tree_outcome(
@@ -349,9 +348,8 @@ def _rrt_family(grid: GridMap, model: MoveModel, params: SamplerParams, nearest:
     rng, free = _sampler_prelude(grid, params)
     if grid.agent == grid.goal:
         return _trivial(grid, t0)
-    occ = grid.occupancy
+    fg = FlatGrid(grid, model)
     orthogonal = model.connectivity is Connectivity.ORTHOGONAL
-    moves = set(model.moves(grid.dims))
     goal = grid.goal
     budget = params.resolved_max_samples(grid)
     tree = _Tree(grid.agent, grid.dims, grid.free_count + 1)
@@ -363,14 +361,14 @@ def _rrt_family(grid: GridMap, model: MoveModel, params: SamplerParams, nearest:
         else:
             sample = tuple(int(c) for c in free[rng.integers(len(free))])
         base = tree.nearest(sample) if nearest else int(rng.integers(tree.size))
-        walked = _steer_walk(occ, tree.nodes[base], sample, params.step_cells, orthogonal)
+        walked = _steer_walk(fg, tree.nodes[base], sample, params.step_cells, orthogonal)
         if len(walked) < 2 or walked[-1] in tree.ids:
             continue
         nid = tree.add(walked[-1], base, tuple(walked[1:-1]))
         if walked[-1] == goal:
             goal_id = nid
             break
-        if _goal_connect(occ, walked[-1], goal, moves):
+        if _goal_connect(fg, walked[-1], goal):
             goal_id = tree.add(goal, nid, ())
             break
 
@@ -405,7 +403,7 @@ def _erase_loops(cells: List[Cell]) -> List[Cell]:
     return out
 
 
-def _line_normalize(occ: np.ndarray, cells: List[Cell], orthogonal: bool) -> List[Cell]:
+def _line_normalize(fg: FlatGrid, cells: List[Cell], orthogonal: bool) -> List[Cell]:
     """Rewrite a walk as its greedy farthest-jump polyline: from each position,
     jump to the farthest later cell of the walk whose discrete line is free,
     and walk that line instead. Uses the same line validity as tree edges, so
@@ -418,7 +416,7 @@ def _line_normalize(occ: np.ndarray, cells: List[Cell], orthogonal: bool) -> Lis
         seg = None
         while j > i + 1:
             line = discrete_line(cells[i], cells[j], orthogonal)
-            if _line_valid(occ, line):
+            if _line_valid(fg, line):
                 seg = line
                 break
             j -= 1
@@ -451,7 +449,7 @@ def d_rrt_connect(grid: GridMap, model: MoveModel, params: SamplerParams = Sampl
     rng, free = _sampler_prelude(grid, params)
     if grid.agent == grid.goal:
         return _trivial(grid, t0)
-    occ = grid.occupancy
+    fg = FlatGrid(grid, model)
     orthogonal = model.connectivity is Connectivity.ORTHOGONAL
     budget = params.resolved_max_samples(grid)
     start_tree = _Tree(grid.agent, grid.dims, grid.free_count + 1)
@@ -469,7 +467,7 @@ def d_rrt_connect(grid: GridMap, model: MoveModel, params: SamplerParams = Sampl
         else:
             sample = tuple(int(c) for c in free[rng.integers(len(free))])
         base = a.nearest(sample)
-        walked = _steer_walk(occ, a.nodes[base], sample, params.step_cells, orthogonal)
+        walked = _steer_walk(fg, a.nodes[base], sample, params.step_cells, orthogonal)
         if len(walked) < 2:
             continue
         q_new = walked[-1]
@@ -483,7 +481,7 @@ def d_rrt_connect(grid: GridMap, model: MoveModel, params: SamplerParams = Sampl
         cur = b.nearest(q_new)
         hops = {cur}
         while True:
-            w2 = _steer_walk(occ, b.nodes[cur], q_new, params.step_cells, orthogonal)
+            w2 = _steer_walk(fg, b.nodes[cur], q_new, params.step_cells, orthogonal)
             if len(w2) < 2:
                 break
             tip = w2[-1]
@@ -511,7 +509,7 @@ def d_rrt_connect(grid: GridMap, model: MoveModel, params: SamplerParams = Sampl
         back.reverse()
         branch = _erase_loops(fwd + back[1:])
         if len(branch) > 2:
-            branch = _line_normalize(occ, branch, orthogonal)
+            branch = _line_normalize(fg, branch, orthogonal)
     return _tree_outcome(grid, trees, branch, t0, None if branch else BUDGET_EXHAUSTED)
 
 
@@ -533,11 +531,10 @@ def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerP
     rng, free = _sampler_prelude(grid, params)
     if grid.agent == grid.goal:
         return _trivial(grid, t0)
-    occ = grid.occupancy
-    flat = occ.reshape(-1)
-    strides = _row_major_strides(occ.shape)
+    fg = FlatGrid(grid, model)
+    flat = grid.occupancy.reshape(-1)
+    strides = _row_major_strides(grid.extent)
     orthogonal = model.connectivity is Connectivity.ORTHOGONAL
-    moves = set(model.moves(grid.dims))
     goal = grid.goal
     budget = params.resolved_max_samples(grid)
     tree = _Tree(grid.agent, grid.dims, grid.free_count + 1)
@@ -565,7 +562,7 @@ def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerP
         else:
             sample = tuple(int(c) for c in free[rng.integers(len(free))])
         base = tree.nearest(sample)
-        walked = _steer_walk(occ, tree.nodes[base], sample, params.step_cells, orthogonal)
+        walked = _steer_walk(fg, tree.nodes[base], sample, params.step_cells, orthogonal)
         if len(walked) < 2 or walked[-1] in tree.ids:
             continue
         q_new = walked[-1]
@@ -607,7 +604,7 @@ def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerP
                     line = discrete_line(q_new, tree.nodes[nid], orthogonal)
                     reparent(nid, new_id, line[1:-1], rewire_cost[i])
 
-        if q_new != goal and goal not in tree.ids and _goal_connect(occ, q_new, goal, moves):
+        if q_new != goal and goal not in tree.ids and _goal_connect(fg, q_new, goal):
             gid = tree.add(goal, new_id, ())
             cost[gid] = best_cost + _STEP_COST[sum(1 for c, g in zip(q_new, goal) if c != g)]
             children.append([])
@@ -666,8 +663,8 @@ def _roadmap_pairs(coords: np.ndarray, extent: Sequence[int], radius: float):
 
 
 def _lines_valid(occ: np.ndarray, a: np.ndarray, b: np.ndarray, orthogonal: bool) -> np.ndarray:
-    """_line_valid(occ, discrete_line(a[k], b[k], orthogonal)) for every row k
-    of the (lines, dims) integer arrays a and b.
+    """_line_valid of discrete_line(a[k], b[k], orthogonal) on the map occ, for
+    every row k of the (lines, dims) integer arrays a and b.
 
     Each step cur -> nxt of the rounded line is tested in one numpy pass over
     all steps of all lines, with discrete_line's float expression. Under FULL
@@ -709,7 +706,7 @@ def _lines_valid(occ: np.ndarray, a: np.ndarray, b: np.ndarray, orthogonal: bool
         for mask in masks:
             shift = sum(shifts[axis] for axis in mask)
             # a mask of unchanged axes names cur itself, which the step
-            # leaves rather than enters (_line_valid never tests line[0])
+            # leaves rather than enters (a walk never tests the cell it starts on)
             blocked |= flat[base + shift] & (shift != 0)
         valid[line[blocked]] = False
     return valid

@@ -97,8 +97,8 @@ def _oracle_moves(occ, cell):
             yield nxt
 
 
-def _solvable(grid: GridMap) -> bool:
-    """Flood fill from the agent over oracle moves."""
+def _solvable_reference(grid: GridMap) -> bool:
+    """Flood fill from the agent over oracle moves, one cell tuple at a time."""
     occ = grid.occupancy
     seen = {grid.agent}
     stack = [grid.agent]
@@ -111,6 +111,78 @@ def _solvable(grid: GridMap) -> bool:
                 seen.add(nxt)
                 stack.append(nxt)
     return False
+
+
+@lru_cache(maxsize=None)
+def _oracle_probes(ndim):
+    """Per move vector, the cells that must be free to take it, as offsets:
+    the target and every strictly smaller combination of the moved axes
+    (the rule _oracle_moves states)."""
+    table = []
+    for delta in itertools.product((-1, 0, 1), repeat=ndim):
+        axes = [i for i, d in enumerate(delta) if d]
+        if not axes:
+            continue
+        probes = [delta]
+        for r in range(1, len(axes)):
+            for combo in itertools.combinations(axes, r):
+                probes.append(tuple(d if i in combo else 0 for i, d in enumerate(delta)))
+        table.append((delta, tuple(probes)))
+    return tuple(table)
+
+
+def _solvable(grid: GridMap) -> bool:
+    """_solvable_reference on flat indices: the map is padded with one layer
+    of obstacles, so no probe needs a bounds check."""
+    occ = np.pad(grid.occupancy, 1, constant_values=True)
+    strides = [int(np.prod(occ.shape[i + 1:])) for i in range(occ.ndim)]
+
+    def flat(offset):
+        return sum(o * s for o, s in zip(offset, strides))
+
+    blocked = occ.reshape(-1).tolist()
+    moves = [
+        (flat(delta), tuple(flat(p) for p in probes))
+        for delta, probes in _oracle_probes(occ.ndim)
+    ]
+    start = flat(c + 1 for c in grid.agent)
+    goal = flat(c + 1 for c in grid.goal)
+    seen = {start}
+    stack = [start]
+    while stack:
+        cur = stack.pop()
+        if cur == goal:
+            return True
+        for step, probes in moves:
+            nxt = cur + step
+            if nxt in seen:
+                continue
+            for p in probes:
+                if blocked[cur + p]:
+                    break
+            else:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
+def test_flat_flood_fill_matches_reference():
+    # small maps at every density, endpoints anywhere free, so the corner-cut
+    # probes and the padded border decide many of the verdicts
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for shape in ((1, 7), (6, 6), (9, 5), (3, 1, 4), (4, 4, 4)):
+        for fill in (0.2, 0.35, 0.5):
+            for _ in range(40):
+                occ = rng.random(shape) < fill
+                free = np.argwhere(~occ)
+                if len(free) < 2:
+                    continue
+                a, b = rng.choice(len(free), size=2, replace=False)
+                g = GridMap(occ, agent=tuple(free[a]), goal=tuple(free[b]))
+                assert _solvable(g) == _solvable_reference(g)
+                verdicts.add(_solvable(g))
+    assert verdicts == {True, False}
 
 
 def _bfs_steps(occ, start, goal):

@@ -284,6 +284,16 @@ def test_flatgrid_round_trip_indices():
         assert fg.to_cell(fg.to_flat(cell)) == cell
 
 
+def _table_neighbors(fg, cell):
+    """neighbors() as read from the legality tables."""
+    idx = fg.to_flat(cell)
+    return [
+        (tuple(c + d for c, d in zip(cell, vec)), cost)
+        for _, legal, cost, vec in fg.moves
+        if legal[idx]
+    ]
+
+
 def test_flatgrid_agrees_with_neighbors():
     rng = np.random.default_rng(99)
     for dims, shape in ((2, (7, 6)), (3, (4, 5, 4))):
@@ -293,13 +303,29 @@ def test_flatgrid_agrees_with_neighbors():
             for model in (FULL, ORTH):
                 fg = FlatGrid(g, model)
                 for cell in np.ndindex(shape):
-                    idx = fg.to_flat(cell)
-                    via_flat = sorted(
-                        fg.to_cell(idx + entry[0])
-                        for entry in fg.moves
-                        if not occ[cell] and fg.move_ok(idx, entry)
-                    )
-                    if occ[cell]:
-                        continue
-                    via_public = sorted(c for c, _ in neighbors(g, cell, model))
-                    assert via_flat == via_public
+                    assert _table_neighbors(fg, cell) == neighbors(g, cell, model)
+
+
+@pytest.mark.parametrize("model", [FULL, ORTH], ids=["full", "orthogonal"])
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 6), (6, 1), (3, 3), (5, 4), (1, 1, 1), (5, 1, 1), (1, 4, 1), (2, 1, 3), (3, 3, 3)]
+)
+def test_flatgrid_tables_equal_neighbors_at_every_cell(shape, model):
+    # every occupancy of the small maps, a random sample of the larger ones;
+    # obstacle cells included (the tables, like neighbors, ignore the source)
+    size = int(np.prod(shape))
+    if size <= 12:
+        codes = range(1 << size)
+    else:
+        codes = np.random.default_rng(size).integers(0, 1 << size, 256).tolist()
+    for code in codes:
+        occ = np.array([(code >> k) & 1 for k in range(size)], dtype=bool).reshape(shape)
+        g = GridMap(occ)
+        fg = FlatGrid(g, model)
+        assert [e[3] for e in fg.moves] == list(model.moves(len(shape)))
+        for delta, legal, _, vec in fg.moves:
+            assert fg.step[vec][1] is legal
+            assert len(legal) == fg.size
+            assert fg.to_flat(vec) - fg.to_flat((0,) * len(shape)) == delta
+        for cell in np.ndindex(shape):
+            assert _table_neighbors(fg, cell) == neighbors(g, cell, model)

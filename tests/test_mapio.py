@@ -7,12 +7,10 @@ from conftest import build_u_trap
 from pbgrid.grid import GridMap
 from pbgrid.mapgen import GenConfig, MapType, generate, place_agent_goal
 from pbgrid.mapio import (
-    ExternalMapSource,
-    MapFormat,
     ParseError,
     UnsupportedVersionError,
+    load_map,
     load_native,
-    load_source,
     parse_movingai,
     save_native,
 )
@@ -218,29 +216,25 @@ def test_movingai_custom_character_sets():
     assert g.occupancy.tolist() == [[False, True]]
 
 
-# --- ExternalMapSource -----------------------------------------------------------
+# --- load_map ---------------------------------------------------------------------
 
-def test_source_rejects_overlapping_charsets():
-    with pytest.raises(ValueError):
-        ExternalMapSource(
-            MapFormat.MOVINGAI2D,
-            "x.map",
-            passable_chars=frozenset(".G"),
-            obstacle_chars=frozenset("G@"),
-        )
-    with pytest.raises(ValueError):
-        ExternalMapSource(MapFormat.NATIVE, "x.map", passable_chars=frozenset())
-
-
-def test_load_source_dispatches(tmp_path):
+def test_load_map_dispatches(tmp_path):
     g = GridMap(np.zeros((2, 2), dtype=bool), agent=(0, 0), goal=(1, 1))
     native = tmp_path / "a.map"
     native.write_text(save_native(g))
-    assert load_source(ExternalMapSource(MapFormat.NATIVE, native)) == g
+    assert load_map(native) == g
+    assert load_map(str(native)) == g
     moving = tmp_path / "b.map"
     moving.write_text("type octile\nheight 2\nwidth 2\nmap\n.@\n..\n")
-    loaded = load_source(ExternalMapSource(MapFormat.MOVINGAI2D, moving))
+    loaded = load_map(moving)
     assert loaded.occupancy.tolist() == [[False, True], [False, False]]
+    # a file that claims the native format is parsed strictly as native
+    bad = tmp_path / "c.map"
+    bad.write_text("pbgrid v9\n")
+    with pytest.raises(UnsupportedVersionError):
+        load_map(bad)
+    with pytest.raises(OSError):
+        load_map(tmp_path / "missing.map")
 
 
 # --- committed fixtures -----------------------------------------------------------

@@ -5,7 +5,16 @@ from heapq import heappop, heappush
 import numpy as np
 import pytest
 
-from pbgrid.grid import Connectivity, GridMap, MapError, MoveModel, Path, validate_path
+from pbgrid.grid import (
+    Connectivity,
+    FlatGrid,
+    GridMap,
+    MapError,
+    MoveModel,
+    Path,
+    _shoulder_vectors,
+    validate_path,
+)
 from pbgrid.planners.base import (
     BUDGET_EXHAUSTED,
     DICT_ENTRY_BYTES,
@@ -19,11 +28,9 @@ from pbgrid.planners.graph import astar, dijkstra
 from pbgrid.planners.sampling import (
     _STEP_COST,
     SamplerParams,
-    _goal_connect,
     _line_cost,
     _line_valid,
     _lines_valid,
-    _move_legal,
     _offset_line,
     _roadmap_pairs,
     _sampler_prelude,
@@ -45,6 +52,39 @@ FULL = MoveModel(Connectivity.FULL)
 
 def empty_grid(*extent, agent=None, goal=None):
     return GridMap(np.zeros(extent, dtype=bool), agent=agent, goal=goal)
+
+
+def _move_legal(occ, src, dst):
+    """Reference move check on the bare occupancy: target and shoulders free."""
+    if occ[dst]:
+        return False
+    move = tuple(b - a for a, b in zip(src, dst))
+    for sh in _shoulder_vectors(move):
+        if occ[tuple(a + d for a, d in zip(src, sh))]:
+            return False
+    return True
+
+
+def _ref_line_valid(occ, line):
+    for src, dst in zip(line, line[1:]):
+        if not _move_legal(occ, src, dst):
+            return False
+    return True
+
+
+def _ref_steer(occ, a, b, step, orthogonal):
+    """The prefix of the complete discrete line a steer walk may take."""
+    line = discrete_line(a, b, orthogonal)
+    walked = [line[0]]
+    for nxt in line[1 : step + 1]:
+        if not _move_legal(occ, walked[-1], nxt):
+            break
+        walked.append(nxt)
+    return walked
+
+
+def _model(orthogonal):
+    return MoveModel(Connectivity.ORTHOGONAL if orthogonal else Connectivity.FULL)
 
 
 def random_instance(rng, size=12, fill=0.25):
@@ -96,6 +136,14 @@ def test_grid_steer_stops_before_obstacle():
     assert grid_steer((0, 0), (0, 7), 5, g) == (0, 1)
 
 
+def test_grid_steer_stops_at_map_edge():
+    # a target off the map is steered toward until the obstacle border
+    g = empty_grid(1, 10)
+    assert grid_steer((0, 0), (0, -5), 3, g) is None
+    assert grid_steer((0, 8), (0, 20), 3, g) == (0, 9)
+    assert grid_steer((0, 2), (3, 2), 3, g) is None
+
+
 def test_grid_steer_requires_free_origin():
     occ = np.zeros((3, 3), dtype=bool)
     occ[1, 1] = True
@@ -115,13 +163,8 @@ def test_steer_prefix_matches_full_line_walk():
                 a = tuple(int(c) for c in free[rng.integers(len(free))])
                 b = tuple(int(c) for c in rng.integers(0, size, size=dims))
                 step = int(rng.integers(1, 2 * size))
-                line = discrete_line(a, b, orthogonal)
-                walked = [line[0]]
-                for nxt in line[1 : step + 1]:
-                    if not _move_legal(occ, walked[-1], nxt):
-                        break
-                    walked.append(nxt)
-                assert _steer_walk(occ, a, b, step, orthogonal) == walked
+                fg = FlatGrid(GridMap(occ), _model(orthogonal))
+                assert _steer_walk(fg, a, b, step, orthogonal) == _ref_steer(occ, a, b, step, orthogonal)
 
 
 def test_grid_steer_respects_corner_cut():
@@ -300,7 +343,8 @@ def test_rrt_star_deterministic_and_valid():
 
 def _brute_rrt_star(grid, model, params):
     """d_rrt_star as first written: a float radius query per phase and one
-    discrete_line + _line_valid + _line_cost per neighbour, in Python."""
+    discrete_line + line check + _line_cost per neighbour, in Python, with
+    the reference move check on the bare occupancy."""
     rng, free = _sampler_prelude(grid, params)
     occ = grid.occupancy
     orthogonal = model.connectivity is Connectivity.ORTHOGONAL
@@ -335,7 +379,7 @@ def _brute_rrt_star(grid, model, params):
         else:
             sample = tuple(int(c) for c in free[rng.integers(len(free))])
         base = tree.nearest(sample)
-        walked = _steer_walk(occ, tree.nodes[base], sample, params.step_cells, orthogonal)
+        walked = _ref_steer(occ, tree.nodes[base], sample, params.step_cells, orthogonal)
         if len(walked) < 2 or walked[-1] in tree.ids:
             continue
         q_new = walked[-1]
@@ -347,7 +391,7 @@ def _brute_rrt_star(grid, model, params):
             if nid == base:
                 continue
             line = discrete_line(tree.nodes[nid], q_new, orthogonal)
-            if not _line_valid(occ, line):
+            if not _ref_line_valid(occ, line):
                 continue
             c = cost[nid] + _line_cost(line)
             if c < best_cost:
@@ -361,12 +405,18 @@ def _brute_rrt_star(grid, model, params):
             if nid == new_id or nid == best_parent or nid == 0:
                 continue
             line = discrete_line(q_new, tree.nodes[nid], orthogonal)
-            if not _line_valid(occ, line):
+            if not _ref_line_valid(occ, line):
                 continue
             c = best_cost + _line_cost(line)
             if c < cost[nid] - 1e-12:
                 reparent(nid, new_id, tuple(line[1:-1]), c)
-        if q_new != goal and goal not in tree.ids and _goal_connect(occ, q_new, goal, moves):
+        goal_move = tuple(g - c for c, g in zip(q_new, goal))
+        if (
+            q_new != goal
+            and goal not in tree.ids
+            and goal_move in moves
+            and _move_legal(occ, q_new, goal)
+        ):
             gid = tree.add(goal, new_id, ())
             cost.append(best_cost + _STEP_COST[sum(1 for c, g in zip(q_new, goal) if c != g)])
             children.append([])
@@ -428,7 +478,7 @@ def test_offset_line_matches_line_walk(dims, reach, orthogonal):
             line = discrete_line(start, tuple(x + d for x, d in zip(start, o)), orthogonal)
             assert line_cost == _line_cost(line)
             got = not occ.reshape(-1)[(a + probes) @ strides].any()
-            assert got == _line_valid(occ, line)
+            assert got == _ref_line_valid(occ, line)
 
 
 def test_offset_line_rows_are_read_only():
@@ -503,7 +553,8 @@ def test_sprm_failure_reason_when_disconnected():
 
 def _brute_sprm(grid, model, params):
     """The d_sprm roadmap as first written: a dense N x N distance matrix,
-    one discrete_line + _line_valid per pair, and a stored line per edge."""
+    one discrete_line + reference line check per pair, and a stored line per
+    edge."""
     rng, free = _sampler_prelude(grid, params)
     occ = grid.occupancy
     orthogonal = model.connectivity is Connectivity.ORTHOGONAL
@@ -527,7 +578,7 @@ def _brute_sprm(grid, model, params):
         a, b = nodes[i], nodes[j]
         lo, hi = (a, b) if a <= b else (b, a)
         line = discrete_line(lo, hi, orthogonal)
-        if not _line_valid(occ, line):
+        if not _ref_line_valid(occ, line):
             continue
         adj[i].append(int(j))
         adj[j].append(int(i))
@@ -638,11 +689,12 @@ def test_lines_valid_matches_line_walk(dims, size, orthogonal, block, monkeypatc
         b = rng.integers(0, size, size=(200, dims))
         b[:5] = a[:5]  # zero-length lines are valid
         got = _lines_valid(occ, a, b, orthogonal)
-        want = [
-            _line_valid(occ, discrete_line(tuple(map(int, x)), tuple(map(int, y)), orthogonal))
-            for x, y in zip(a, b)
-        ]
+        lines = [discrete_line(tuple(map(int, x)), tuple(map(int, y)), orthogonal) for x, y in zip(a, b)]
+        want = [_ref_line_valid(occ, line) for line in lines]
         assert got.tolist() == want
+        # the single-line walk on the legality tables agrees too
+        fg = FlatGrid(GridMap(occ), _model(orthogonal))
+        assert [_line_valid(fg, line) for line in lines] == want
 
 
 # --- shared contracts ---------------------------------------------------------
