@@ -44,13 +44,7 @@ from pbgrid.grid import Connectivity, DomainError, GridMap, MapError, MoveModel,
 from pbgrid.mapgen import ConfigError, GenConfig, MapType, generate, place_agent_goal
 from pbgrid.mapio import NATIVE_VERSION, ParseError, load_map, parse_movingai, save_native
 from pbgrid.metrics import InconsistencyError, MetricReport, compute_report
-from pbgrid.planners import (
-    PlannerEntry,
-    available_planners,
-    dump_trace,
-    dump_tree,
-    resolve_planner,
-)
+from pbgrid.planners import PlannerEntry, dump_trace, dump_tree, resolve_planner
 from pbgrid.planners.graph import astar, dijkstra, wavefront
 from pbgrid.plots import PLOT_KINDS, emit_plots
 
@@ -579,9 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     plot.set_defaults(func=cmd_plot)
 
     return parser
-
-
-_SUBCOMMANDS = ("generate", "run", "benchmark", "convert", "plot")
 
 
 def _dispatch(argv: List[str]) -> int:

@@ -339,6 +339,11 @@ def validate_path(
         raise InvalidPathError(f"path ends at {cells[-1]}, expected {tuple(goal)}")
 
 
+def _row_major_strides(shape: Sequence[int]) -> np.ndarray:
+    """Flat-index step of each axis of a C-ordered array of this shape."""
+    return np.array([math.prod(shape[axis + 1:]) for axis in range(len(shape))], dtype=np.int64)
+
+
 class FlatGrid:
     """Planner-facing view of a map: one move-legality table per move.
 
@@ -364,18 +369,15 @@ class FlatGrid:
         padded[tuple(slice(1, -1) for _ in range(grid.dims))] = grid.occupancy
         self.size = padded.size
 
-        shape = padded.shape
-        strides = [1] * len(shape)
-        for i in range(len(shape) - 2, -1, -1):
-            strides[i] = strides[i + 1] * shape[i + 1]
-        self.strides = tuple(strides)
+        strides = _row_major_strides(padded.shape)
+        self.strides = tuple(strides.tolist())
 
         # free[idx + d] for every flat index idx and move delta d, as views into
         # the free mask with reach obstacle entries on either side; every
         # shoulder of a move is itself a move of the model
         vecs = model.moves(grid.dims)
-        deltas = (np.array(vecs) @ np.array(strides)).tolist()
-        reach = sum(strides)
+        deltas = (np.array(vecs) @ strides).tolist()
+        reach = sum(self.strides)
         free = np.zeros(padded.size + 2 * reach, dtype=bool)
         free[reach:-reach] = ~padded.reshape(-1)
         free_at = {vec: free[reach + d:reach + d + padded.size] for vec, d in zip(vecs, deltas)}

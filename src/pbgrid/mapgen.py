@@ -10,8 +10,8 @@ draws them uniformly from the free cells without enforcing solvability
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 from scipy import ndimage

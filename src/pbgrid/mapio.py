@@ -28,7 +28,7 @@ native version line's first word is native.
 from __future__ import annotations
 
 from pathlib import Path as FilePath
-from typing import FrozenSet, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -176,11 +176,7 @@ def load_native(text: Union[str, bytes]) -> GridMap:
     return GridMap(occ, agent=agent, goal=goal)
 
 
-def parse_movingai(
-    text: Union[str, bytes],
-    passable: FrozenSet[str] = MOVINGAI_PASSABLE,
-    obstacle: FrozenSet[str] = MOVINGAI_OBSTACLE,
-) -> GridMap:
+def parse_movingai(text: Union[str, bytes]) -> GridMap:
     raw = _coerce_text(text).split("\n")
     lines = [ln[:-1] if ln.endswith("\r") else ln for ln in raw]
 
@@ -218,9 +214,9 @@ def parse_movingai(
                 f"row has {len(row)} cells, expected {width}", line=5 + r
             )
         for c, ch in enumerate(row):
-            if ch in obstacle:
+            if ch in MOVINGAI_OBSTACLE:
                 occ[r, c] = True
-            elif ch not in passable:
+            elif ch not in MOVINGAI_PASSABLE:
                 raise ParseError(
                     f"unknown cell character {ch!r}", line=5 + r, column=c + 1
                 )

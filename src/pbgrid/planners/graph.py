@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from heapq import heappop, heappush
-from typing import Optional
 
 from pbgrid.grid import (
     SQRT2,

@@ -9,11 +9,10 @@ that add no node.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -28,6 +27,7 @@ from pbgrid.grid import (
     MapError,
     MoveModel,
     Path,
+    _row_major_strides,
     _shoulder_vectors,
 )
 from pbgrid.planners.base import (
@@ -39,14 +39,11 @@ from pbgrid.planners.base import (
     SearchTrace,
 )
 
-# Work-block sizes that keep the roadmap kernels' temporaries near 10 MiB per
-# block at any map size or radius: (node, offset) lookups per pair-search block,
-# and line steps per line-check block (each step carries a dozen int64 arrays).
+# Node x offset x probe lookups per block of the roadmap edge search: it bounds
+# the block's temporaries at any map size or radius.
 _PAIR_BLOCK = 1 << 20
-_STEP_BLOCK = 1 << 16
-# Per-offset line rows kept by _offset_line: every offset within radius 8 of
-# one connectivity in 3D (2 108 offsets, 1.7 MiB) fits. Rows grow with the
-# line, so a full cache of radius-inf lines on a 64^3 map holds about 27 MiB.
+# Per-offset line rows memoized by _offset_lines: every offset within radius
+# 8 of one connectivity in 3D (2 108 offsets) fits. Rows grow with the line.
 _LINE_CACHE = 1 << 12
 
 
@@ -142,27 +139,50 @@ def _line_cost(line: Sequence[Cell]) -> float:
     return total
 
 
-@functools.lru_cache(maxsize=_LINE_CACHE)
-def _offset_line(offset: Cell, orthogonal: bool) -> Tuple[np.ndarray, float]:
-    """The cells whose freedom makes discrete_line(a, a + offset) a legal walk
-    (each step's target and corner-cut shoulders, as _shoulder_vectors gives
-    them), as read-only offsets from a (rows x dims), and the line's _line_cost.
+def _line_probes(offsets: np.ndarray, orthogonal: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells whose freedom makes discrete_line(0, offsets[k]) a legal walk
+    from a free origin (K x L x dims), which of them are the row's distinct
+    cells other than the origin (K x L), and each line's _line_cost (K).
 
-    The rounding term offset*i/n has a fractional part that is a multiple of
-    1/n, so shifting both endpoints by an integer cell a never flips a floor:
-    the line from a is the line from the origin moved by a, and its probes and
-    cost depend on the offset alone. Every probe lies in the box spanned by 0
-    and offset, so it is in bounds whenever both endpoints are.
+    Each step cur -> nxt, in discrete_line's float expression, gives one probe
+    per axis mask: cur moved along the masked axes. FULL masks are every
+    non-empty axis subset (the target and each corner-cut shoulder),
+    ORTHOGONAL masks the axis-order prefixes (the cells the expanded line
+    walks). A mask over unchanged axes names cur, and a line shorter than the
+    longest in the call repeats its last step, so padding only repeats cells
+    the row already checks. A FULL probe is distinct when its mask is a subset
+    of the step's changed axes, an ORTHOGONAL one when the prefix's last axis
+    changed. Every probe lies in the box spanned by 0 and the offset. Costs
+    are a sequential cumsum, bit-equal to _line_cost.
     """
-    line = discrete_line((0,) * len(offset), offset, orthogonal)
-    probes = []
-    for src, dst in zip(line, line[1:]):
-        probes.append(dst)
-        move = tuple(b - a for a, b in zip(src, dst))
-        probes.extend(tuple(a + d for a, d in zip(src, sh)) for sh in _shoulder_vectors(move))
-    rows = np.array(list(dict.fromkeys(probes)), dtype=np.int64).reshape(-1, len(offset))
-    rows.setflags(write=False)
-    return rows, _line_cost(line)
+    dims = offsets.shape[1]
+    if orthogonal:
+        masks = np.tri(dims, dtype=np.int64)
+    else:
+        masks = np.array(_shoulder_vectors((1,) * dims) + ((1,) * dims,), dtype=np.int64)
+    n = np.abs(offsets).max(axis=1)
+    steps = np.arange(1, int(n.max(initial=0)) + 1)
+    t = np.minimum(steps, n[:, None])[:, :, None]
+    span = np.maximum(n, 1)[:, None, None]
+    o = offsets[:, None, :]
+    cur = np.floor(o * (t - 1) / span + 0.5).astype(np.int64)
+    move = np.floor(o * t / span + 0.5).astype(np.int64) - cur
+    # built mask-major, so that numpy's inner loops run over whole steps
+    probes = (cur + masks[:, None, None, :] * move).transpose(1, 2, 0, 3)
+    # a repeat of a row's last step counts as changing no axis
+    changed = (move != 0) & (steps <= n[:, None])[:, :, None]
+    bit = 1 << np.arange(dims)
+    own = changed if orthogonal else (masks @ bit & ~(changed @ bit)[:, :, None]) == 0
+    # one unit step per changed axis under ORTHOGONAL
+    unit = np.array((0.0, 1.0, 2.0, 3.0) if orthogonal else _STEP_COST)
+    step_cost = np.zeros((len(offsets), len(steps) + 1))
+    step_cost[:, 1:] = unit[changed.sum(axis=2)]
+    k = len(offsets)
+    return probes.reshape(k, -1, dims), own.reshape(k, -1), np.cumsum(step_cost, axis=1)[:, -1]
+
+
+# Per-offset line rows of _offset_lines, keyed by (offset, orthogonal).
+_line_memo: Dict[Tuple[Cell, bool], Tuple[np.ndarray, float]] = {}
 
 
 def _offset_lines(
@@ -170,8 +190,36 @@ def _offset_lines(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Validity and cost of discrete_line(a, a + offsets[k]) for every row k,
     where a is the cell at flat index starts[k] of the flattened occupancy
-    flat; one gather over the memoized probes of all lines."""
-    rows = [_offset_line(o, orthogonal) for o in map(tuple, offsets.tolist())]
+    flat; one gather over the probes of all lines.
+
+    The rounding term offset*i/n has a fractional part that is a multiple of
+    1/n, so the line from a is the line from the origin moved by a: probes
+    and cost depend on the offset alone. They are memoized per offset as
+    read-only rows of distinct cells other than a, at most _LINE_CACHE rows;
+    the rows a call is missing come from one _line_probes call, each copied
+    out so that no row keeps a whole batch alive. Threads share the memo
+    without a lock, because a published dict is never changed: a call reads
+    through one reference and publishes a fresh dict with its new rows (two
+    such calls may drop each other's rows, which only costs a rebuild).
+    """
+    global _line_memo
+    memo = _line_memo
+    keys = list(zip(map(tuple, offsets.tolist()), itertools.repeat(orthogonal)))
+    rows = list(map(memo.get, keys))
+    if None in rows:
+        missing = list(dict.fromkeys(key for key, row in zip(keys, rows) if row is None))
+        probes, own, line_cost = _line_probes(np.array([o for o, _ in missing]), orthogonal)
+        small = np.min_scalar_type(-int(np.abs(probes).max(initial=0)))
+        built = {}
+        for key, row, pick, c in zip(missing, probes, own, line_cost.tolist()):
+            row = row[pick].astype(small)
+            row.setflags(write=False)
+            built[key] = (row, c)
+        if len(memo) + len(built) <= _LINE_CACHE:
+            _line_memo = {**memo, **built}
+        elif len(built) <= _LINE_CACHE:
+            _line_memo = built
+        rows = [row or built[key] for key, row in zip(keys, rows)]
     counts = [len(probes) for probes, _ in rows]
     at = np.repeat(starts, counts) + np.concatenate([probes for probes, _ in rows]) @ strides
     valid = np.ones(len(rows), dtype=bool)
@@ -521,6 +569,7 @@ def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerP
     one gather (_offset_lines) that checks, for every neighbour, both the
     node -> q_new line (choose-parent) and the q_new -> node line (rewire);
     discrete_line is not symmetric, so both directions are checked. The
+    gather reads memoized _line_probes rows, as d_sprm's roadmap does. The
     parent is the first neighbour of least cost through it, taken only when
     strictly cheaper than the steered edge from the nearest node. Rewires run
     in ascending node id over the live costs, because a reparent lowers the
@@ -614,24 +663,20 @@ def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerP
     return _tree_outcome(grid, [tree], branch, t0, None if branch else BUDGET_EXHAUSTED)
 
 
-def _row_major_strides(shape: Sequence[int]) -> np.ndarray:
-    strides = np.ones(len(shape), dtype=np.int64)
-    for axis in range(len(shape) - 2, -1, -1):
-        strides[axis] = strides[axis + 1] * shape[axis + 1]
-    return strides
+def _roadmap_edges(coords: np.ndarray, occ: np.ndarray, radius: float, orthogonal: bool):
+    """All pairs of nodes within radius whose discrete line is free on occ, as
+    (i, j) node-index arrays with i < j, sorted by (i, j).
 
-
-def _roadmap_pairs(coords: np.ndarray, extent: Sequence[int], radius: float):
-    """All pairs of nodes within radius, as (lo, hi) node-index arrays.
-
-    coords holds distinct in-bounds cells, one per row. Each pair appears
-    once, with coords[lo] < coords[hi] lexicographically, and pairs are sorted
-    by (min(lo, hi), max(lo, hi)). The search writes node ids into a padded
-    flat grid and gathers once per offset of the positive half-stencil
-    (offsets o > 0 lexicographically with |o|^2 <= radius^2), so its work
-    grows with nodes x stencil instead of nodes^2.
+    coords holds distinct free cells of occ, one per row. A pair's line runs
+    from its lexicographically smaller cell, so an edge is the same in both
+    directions. Node ids are written into a padded flat grid; the positive
+    half-stencil (offsets o > 0 lexicographically with |o|^2 <= radius^2),
+    sorted by line length, is walked in blocks of one length and at most
+    _PAIR_BLOCK node x offset x probe lookups, each one node-id gather, one
+    _line_probes call and one gather of every probe of every pair found.
     """
-    dims = coords.shape[1]
+    extent = occ.shape
+    dims = len(extent)
     r2 = radius * radius
     longest = max(extent) - 1
     # largest integer o_k with o_k^2 <= r2, capped by the map extent
@@ -642,6 +687,9 @@ def _roadmap_pairs(coords: np.ndarray, extent: Sequence[int], radius: float):
     # meshgrid order is lexicographic and symmetric about the zero offset
     offsets = offsets[len(offsets) // 2 + 1:]
     offsets = offsets[(offsets * offsets).sum(axis=1) <= r2]
+    steps = np.abs(offsets).max(axis=1)
+    order = np.argsort(steps, kind="stable")
+    offsets, steps = offsets[order], steps[order]
 
     padded = [s + 2 * p for s, p in zip(extent, reach)]
     strides = _row_major_strides(padded)
@@ -649,67 +697,30 @@ def _roadmap_pairs(coords: np.ndarray, extent: Sequence[int], radius: float):
     index = np.full(int(np.prod(padded)), -1, dtype=np.int32)
     index[slots] = np.arange(len(coords), dtype=np.int32)
     deltas = offsets @ strides
-
-    lo_parts, hi_parts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    block = max(1, _PAIR_BLOCK // max(len(coords), 1))
-    for start in range(0, len(deltas), block):
-        found = index[slots[:, None] + deltas[None, start:start + block]]
-        rows, cols = np.nonzero(found >= 0)
-        lo_parts.append(rows)
-        hi_parts.append(found[rows, cols].astype(np.int64))
-    lo, hi = np.concatenate(lo_parts), np.concatenate(hi_parts)
-    order = np.lexsort((np.maximum(lo, hi), np.minimum(lo, hi)))
-    return lo[order], hi[order]
-
-
-def _lines_valid(occ: np.ndarray, a: np.ndarray, b: np.ndarray, orthogonal: bool) -> np.ndarray:
-    """_line_valid of discrete_line(a[k], b[k], orthogonal) on the map occ, for
-    every row k of the (lines, dims) integer arrays a and b.
-
-    Each step cur -> nxt of the rounded line is tested in one numpy pass over
-    all steps of all lines, with discrete_line's float expression. Under FULL
-    connectivity a step is legal when every cell reached by a non-empty subset
-    of its changed axes is free: the target plus the corner-cut shoulders.
-    Under ORTHOGONAL the line walks the changed axes in axis order, so the
-    cells to test are the axis-order prefixes of the step.
-    """
-    dims = occ.ndim
-    if orthogonal:
-        masks = [list(range(k + 1)) for k in range(dims)]
-    else:
-        masks = [
-            [axis for axis in range(dims) if bits >> axis & 1]
-            for bits in range(1, 1 << dims)
-        ]
     flat = occ.reshape(-1)
-    strides = _row_major_strides(occ.shape)
-    diff = b - a
-    n = np.abs(diff).max(axis=1)
-    valid = np.ones(len(a), dtype=bool)
-    block = max(1, _STEP_BLOCK // max(int(n.max(initial=0)), 1))
-    for start in range(0, len(a), block):
-        seg_n = n[start:start + block]
-        line = np.repeat(np.arange(start, start + len(seg_n)), seg_n)
-        if not len(line):
-            continue
-        t = np.arange(1, len(line) + 1) - np.repeat(np.cumsum(seg_n) - seg_n, seg_n)
-        span = n[line]
-        base = np.zeros(len(line), dtype=np.int64)
-        shifts = []
-        for axis in range(dims):
-            origin, delta = a[line, axis], diff[line, axis]
-            cur = np.floor(origin + delta * (t - 1) / span + 0.5).astype(np.int64)
-            nxt = np.floor(origin + delta * t / span + 0.5).astype(np.int64)
-            base += cur * strides[axis]
-            shifts.append((nxt - cur) * strides[axis])
-        blocked = np.zeros(len(line), dtype=bool)
-        for mask in masks:
-            shift = sum(shifts[axis] for axis in mask)
-            # a mask of unchanged axes names cur itself, which the step
-            # leaves rather than enters (a walk never tests the cell it starts on)
-            blocked |= flat[base + shift] & (shift != 0)
-        valid[line[blocked]] = False
-    return valid
+    occ_strides = _row_major_strides(extent)
+    at = coords @ occ_strides
+
+    per_step = dims if orthogonal else (1 << dims) - 1  # probes per line step
+    budget = max(1, _PAIR_BLOCK // len(coords))  # offset x probe lookups per block
+    i_parts, j_parts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    start = 0
+    while start < len(offsets):
+        stop = min(
+            int(np.searchsorted(steps, steps[start], side="right")),
+            start + max(1, budget // (int(steps[start]) * per_step)),
+        )
+        found = index[slots[:, None] + deltas[None, start:stop]]
+        rows, cols = np.nonzero(found >= 0)
+        probes, _, _ = _line_probes(offsets[start:stop], orthogonal)
+        free = ~flat[at[rows][:, None] + (probes @ occ_strides)[cols]].any(axis=1)
+        rows, hits = rows[free], found[rows[free], cols[free]].astype(np.int64)
+        i_parts.append(np.minimum(rows, hits))
+        j_parts.append(np.maximum(rows, hits))
+        start = stop
+    i, j = np.concatenate(i_parts), np.concatenate(j_parts)
+    order = np.lexsort((j, i))
+    return i[order], j[order]
 
 
 def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParams()) -> PlanOutcome:
@@ -719,9 +730,10 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
 
     Candidate pairs come from an integer offset stencil (every offset within
     prm_radius, looked up in a grid of node ids), not from an N x N distance
-    matrix, and all their lines are checked in one numpy pass
-    (_roadmap_pairs, _lines_valid). Edges are kept as node pairs; the cells
-    of a line are rebuilt with discrete_line only for the returned path.
+    matrix, and each block of stencil offsets checks the lines of every pair
+    it finds in one gather of _line_probes rows (_roadmap_edges). Edges are
+    kept as node pairs; the cells of a line are rebuilt with discrete_line
+    only for the returned path.
 
     The query treats every roadmap edge as one hop, the simplest weighting:
     the answer is a fewest-edges route, not a shortest-cells route, and the
@@ -733,7 +745,6 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
     rng, free = _sampler_prelude(grid, params)
     if grid.agent == grid.goal:
         return _trivial(grid, t0)
-    occ = grid.occupancy
     orthogonal = model.connectivity is Connectivity.ORTHOGONAL
 
     n_nodes = min(params.resolved_prm_nodes(grid), len(free))
@@ -747,12 +758,8 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
             nodes.append(cell)
 
     coords = np.asarray(nodes, dtype=np.int64)
-    # pairs arrive sorted by (i, j), i < j, so every adjacency list is
-    # ascending; each line runs from the lexicographically smaller cell, so an
-    # edge is the same in both directions
-    lo_ids, hi_ids = _roadmap_pairs(coords, grid.extent, params.prm_radius)
-    keep = _lines_valid(occ, coords[lo_ids], coords[hi_ids], orthogonal)
-    edges_i, edges_j = np.minimum(lo_ids, hi_ids)[keep], np.maximum(lo_ids, hi_ids)[keep]
+    # edges arrive sorted by (i, j), i < j, so every adjacency list is ascending
+    edges_i, edges_j = _roadmap_edges(coords, grid.occupancy, params.prm_radius, orthogonal)
     adj: List[List[int]] = [[] for _ in nodes]
     for i, j in zip(edges_i.tolist(), edges_j.tolist()):
         adj[i].append(j)

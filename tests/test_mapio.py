@@ -207,15 +207,6 @@ def test_movingai_parser_is_total():
             pass  # located failure is the accepted outcome
 
 
-def test_movingai_custom_character_sets():
-    g = parse_movingai(
-        "type octile\nheight 1\nwidth 2\nmap\nab\n",
-        passable=frozenset("a"),
-        obstacle=frozenset("b"),
-    )
-    assert g.occupancy.tolist() == [[False, True]]
-
-
 # --- load_map ---------------------------------------------------------------------
 
 def test_load_map_dispatches(tmp_path):

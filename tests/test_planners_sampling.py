@@ -1,5 +1,7 @@
 import io
 import math
+import sys
+import threading
 from heapq import heappop, heappush
 
 import numpy as np
@@ -12,6 +14,7 @@ from pbgrid.grid import (
     MapError,
     MoveModel,
     Path,
+    _row_major_strides,
     _shoulder_vectors,
     validate_path,
 )
@@ -29,10 +32,10 @@ from pbgrid.planners.sampling import (
     _STEP_COST,
     SamplerParams,
     _line_cost,
+    _line_probes,
     _line_valid,
-    _lines_valid,
-    _offset_line,
-    _roadmap_pairs,
+    _offset_lines,
+    _roadmap_edges,
     _sampler_prelude,
     _steer_walk,
     _Tree,
@@ -457,36 +460,110 @@ def test_rrt_star_matches_brute_force(dims, size, samples, connectivity):
 @pytest.mark.parametrize("dims,reach", [(2, 8), (3, 4)])
 @pytest.mark.parametrize("orthogonal", [False, True])
 def test_offset_line_matches_line_walk(dims, reach, orthogonal):
-    # every offset within reach, from the lowest and highest start that keeps
-    # the line on the map (both on the border) and from a random one
+    # every offset within reach, the zero offset too, through _offset_lines
+    # in one call per start: the lowest and the highest start that keeps the
+    # line on the map (both on the border), then a random one (memo hits)
     rng = np.random.default_rng(83 + dims)
     size = 2 * reach + 3
     occ = rng.random((size,) * dims) < 0.2
-    strides = np.array([size ** (dims - 1 - k) for k in range(dims)])
+    strides = _row_major_strides(occ.shape)
     axes = np.meshgrid(*[np.arange(-reach, reach + 1)] * dims, indexing="ij")
     offsets = np.stack(axes, axis=-1).reshape(-1, dims)
     offsets = offsets[(offsets * offsets).sum(axis=1) <= reach * reach]
-    for o in map(tuple, offsets.tolist()):
-        probes, line_cost = _offset_line(o, orthogonal)
+    low = np.maximum(0, -offsets)
+    high = np.minimum(size - 1, size - 1 - offsets)
+    for starts in (low, high, rng.integers(low, high + 1)):
+        valid, cost = _offset_lines(occ.reshape(-1), strides, starts @ strides, offsets, orthogonal)
+        for a, o, v, c in zip(starts.tolist(), offsets.tolist(), valid, cost):
+            line = discrete_line(tuple(a), tuple(x + d for x, d in zip(a, o)), orthogonal)
+            assert c == _line_cost(line)
+            assert v == _ref_line_valid(occ, line)
+    # a memo row holds distinct cells of the box spanned by 0 and the offset,
+    # the start excluded
+    for o in offsets:
+        probes, _ = sampling._line_memo[(tuple(o.tolist()), orthogonal)]
         assert probes.shape[1] == dims
-        lo_box, hi_box = np.minimum(o, 0), np.maximum(o, 0)
-        assert ((probes >= lo_box) & (probes <= hi_box)).all()
-        low = np.maximum(0, -np.array(o))
-        high = np.minimum(size - 1, size - 1 - np.array(o))
-        for a in (low, high, rng.integers(low, high + 1)):
-            start = tuple(int(c) for c in a)
-            line = discrete_line(start, tuple(x + d for x, d in zip(start, o)), orthogonal)
-            assert line_cost == _line_cost(line)
-            got = not occ.reshape(-1)[(a + probes) @ strides].any()
-            assert got == _ref_line_valid(occ, line)
+        assert ((probes >= np.minimum(o, 0)) & (probes <= np.maximum(o, 0))).all()
+        assert len(set(map(tuple, probes.tolist()))) == len(probes)
+        assert (probes != 0).any(axis=1).all()
 
 
 def test_offset_line_rows_are_read_only():
-    probes, _ = _offset_line((3, -2), False)
+    occ = np.zeros((6, 6), dtype=bool)
+    strides = _row_major_strides(occ.shape)
+    start, offset = np.array([3]), np.array([[3, -2]])  # (0, 3) -> (3, 1)
+    _offset_lines(occ.reshape(-1), strides, start, offset, False)
+    probes, _ = sampling._line_memo[((3, -2), False)]
     assert not probes.flags.writeable
     with pytest.raises(ValueError):
         probes[0, 0] = 9
-    assert _offset_line((3, -2), False)[0] is probes  # memoized
+    _offset_lines(occ.reshape(-1), strides, start, offset, False)
+    assert sampling._line_memo[((3, -2), False)][0] is probes  # reused, not rebuilt
+
+
+@pytest.mark.parametrize("orthogonal", [False, True])
+def test_offset_lines_longer_than_int8(orthogonal):
+    # rows are stored in the smallest integer type that holds them; a line
+    # of 299 steps needs more than int8
+    occ = np.zeros((2, 300), dtype=bool)
+    occ[1, 200] = True
+    strides = _row_major_strides(occ.shape)
+    offsets = np.array([[1, 299], [-1, -299], [0, 150]])
+    starts = np.array([0, 599, 300])  # (0, 0), (1, 299), (1, 0)
+    valid, cost = _offset_lines(occ.reshape(-1), strides, starts, offsets, orthogonal)
+    lines = [discrete_line((0, 0), (1, 299), orthogonal), discrete_line((1, 299), (0, 0), orthogonal)]
+    lines.append(discrete_line((1, 0), (1, 150), orthogonal))
+    assert valid.tolist() == [_ref_line_valid(occ, line) for line in lines] == [False, False, True]
+    assert cost.tolist() == [_line_cost(line) for line in lines]
+
+
+def test_offset_lines_memo_under_threads(monkeypatch):
+    # a memo far smaller than the calls' offsets is replaced again and again
+    # while four threads read it; every call must give the serial answer, and
+    # the memo never outgrows its bound
+    monkeypatch.setattr(sampling, "_LINE_CACHE", 16)
+    monkeypatch.setattr(sampling, "_line_memo", {})
+    rng = np.random.default_rng(89)
+    occ = rng.random((24, 24)) < 0.2
+    flat, strides = occ.reshape(-1), _row_major_strides(occ.shape)
+    free = np.argwhere(~occ)
+    jobs = []
+    for k in range(24):
+        # one call in six misses more rows than the memo holds
+        pairs = rng.choice(len(free), size=(24 if k % 6 == 0 else 6, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        a, b = free[pairs[:, 0]], free[pairs[:, 1]]
+        jobs.append((a @ strides, b - a, bool(k % 2)))
+    want = [_offset_lines(flat, strides, *job) for job in jobs]
+    got = [[] for _ in range(4)]
+    sizes = []
+
+    def work(out, order):
+        for _ in range(5):
+            for k in order:
+                out.append((k, _offset_lines(flat, strides, *jobs[k])))
+                sizes.append(len(sampling._line_memo))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(got[t], rng.permutation(len(jobs)).tolist()))
+            for t in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(out) == 5 * len(jobs) for out in got)
+    for out in got:
+        for k, (valid, cost) in out:
+            assert valid.tolist() == want[k][0].tolist()
+            assert cost.tolist() == want[k][1].tolist()
+    assert max(sizes) <= 16
 
 
 # --- d_sprm ------------------------------------------------------------------
@@ -661,37 +738,64 @@ def test_sprm_matches_brute_force_roadmap(dims, size, connectivity):
 @pytest.mark.parametrize("block", [None, 3])
 @pytest.mark.parametrize("dims", [2, 3])
 def test_roadmap_pairs_match_brute_force(dims, block, monkeypatch):
+    # _roadmap_edges against every pair within radius whose line, from the
+    # lexicographically smaller cell, passes the reference walk
     if block:  # many small work blocks instead of one
         monkeypatch.setattr(sampling, "_PAIR_BLOCK", block)
     rng = np.random.default_rng(71 + dims)
     for radius in RADII + (0.5, 30.0, math.inf):
-        for _ in range(8):
-            extent = tuple(int(e) for e in rng.integers(1, 10, size=dims))
-            cells = np.argwhere(np.ones(extent, dtype=bool))
-            coords = cells[rng.choice(len(cells), size=int(rng.integers(1, len(cells) + 1)), replace=False)]
-            lo, hi = _roadmap_pairs(coords, extent, radius)
+        for trial in range(8):
+            orthogonal = bool(trial % 2)
+            extent = tuple(int(e) for e in rng.integers(1, 10 if dims == 2 else 6, size=dims))
+            occ = rng.random(extent) < 0.25
+            free = np.argwhere(~occ)
+            if not len(free):
+                continue
+            coords = free[rng.choice(len(free), size=int(rng.integers(1, len(free) + 1)), replace=False)]
+            i, j = _roadmap_edges(coords, occ, radius, orthogonal)
+            cells = [tuple(int(c) for c in cell) for cell in coords]
             d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-            want = [(i, j) for i, j in np.argwhere((d2 <= radius * radius) & (d2 > 0)) if i < j]
-            assert list(zip(np.minimum(lo, hi), np.maximum(lo, hi))) == want
-            assert all(tuple(coords[i]) < tuple(coords[j]) for i, j in zip(lo, hi))
+            want = [
+                (p, q)
+                for p, q in np.argwhere((d2 <= radius * radius) & (d2 > 0)).tolist()
+                if p < q and _ref_line_valid(occ, discrete_line(*sorted((cells[p], cells[q])), orthogonal))
+            ]
+            assert list(zip(i.tolist(), j.tolist())) == want
 
 
-@pytest.mark.parametrize("block", [None, 5])
+@pytest.mark.parametrize("batch", [None, 5])
 @pytest.mark.parametrize("dims,size", [(2, 12), (3, 6)])
 @pytest.mark.parametrize("orthogonal", [False, True])
-def test_lines_valid_matches_line_walk(dims, size, orthogonal, block, monkeypatch):
-    if block:  # many small work blocks instead of one
-        monkeypatch.setattr(sampling, "_STEP_BLOCK", block)
+def test_lines_valid_matches_line_walk(dims, size, orthogonal, batch):
+    # _line_probes over lines of mixed lengths, zero offsets among them, all
+    # in one call or `batch` offsets per call: validity from random free
+    # starts, and the cost bit for bit, against the line walk
     rng = np.random.default_rng(73 + dims)
+    strides = _row_major_strides((size,) * dims)
     for fill in (0.1, 0.3, 0.5):
         occ = rng.random((size,) * dims) < fill
-        a = rng.integers(0, size, size=(200, dims))
+        free = np.argwhere(~occ)
+        a = free[rng.integers(len(free), size=200)]
         b = rng.integers(0, size, size=(200, dims))
         b[:5] = a[:5]  # zero-length lines are valid
-        got = _lines_valid(occ, a, b, orthogonal)
+        step = batch or len(a)
+        valid, cost = [], []
+        for k in range(0, len(a), step):
+            probes, own, line_cost = _line_probes(b[k:k + step] - a[k:k + step], orthogonal)
+            cells = a[k:k + step, None, :] + probes
+            # the marked probes are each row's distinct cells other than its start
+            for row, pick, start in zip(cells.tolist(), own, a[k:k + step].tolist()):
+                distinct = [tuple(c) for c in np.array(row)[pick].tolist()]
+                assert sorted(distinct) == sorted(set(map(tuple, row)) - {tuple(start)})
+            # every probe lies in the box spanned by the line's endpoints
+            assert (cells >= np.minimum(a, b)[k:k + step, None]).all()
+            assert (cells <= np.maximum(a, b)[k:k + step, None]).all()
+            valid += (~occ.reshape(-1)[cells @ strides].any(axis=1)).tolist()
+            cost += line_cost.tolist()
         lines = [discrete_line(tuple(map(int, x)), tuple(map(int, y)), orthogonal) for x, y in zip(a, b)]
         want = [_ref_line_valid(occ, line) for line in lines]
-        assert got.tolist() == want
+        assert valid == want
+        assert cost == [_line_cost(line) for line in lines]
         # the single-line walk on the legality tables agrees too
         fg = FlatGrid(GridMap(occ), _model(orthogonal))
         assert [_line_valid(fg, line) for line in lines] == want
