@@ -209,10 +209,9 @@ def _offset_lines(
     if None in rows:
         missing = list(dict.fromkeys(key for key, row in zip(keys, rows) if row is None))
         probes, own, line_cost = _line_probes(np.array([o for o, _ in missing]), orthogonal)
-        small = np.min_scalar_type(-int(np.abs(probes).max(initial=0)))
         built = {}
         for key, row, pick, c in zip(missing, probes, own, line_cost.tolist()):
-            row = row[pick].astype(small)
+            row = row[pick]
             row.setflags(write=False)
             built[key] = (row, c)
         if len(memo) + len(built) <= _LINE_CACHE:

@@ -502,18 +502,16 @@ def test_offset_line_rows_are_read_only():
 
 
 @pytest.mark.parametrize("orthogonal", [False, True])
-def test_offset_lines_longer_than_int8(orthogonal):
-    # rows are stored in the smallest integer type that holds them; a line
-    # of 299 steps needs more than int8
-    occ = np.zeros((2, 300), dtype=bool)
-    occ[1, 200] = True
+def test_offset_lines_reach_128_steps(orthogonal):
+    # lines of 128 steps both ways from the middle of a 257-cell row: only
+    # the one toward the obstacle at the far end is blocked
+    occ = np.zeros((1, 257), dtype=bool)
+    occ[0, 256] = True
     strides = _row_major_strides(occ.shape)
-    offsets = np.array([[1, 299], [-1, -299], [0, 150]])
-    starts = np.array([0, 599, 300])  # (0, 0), (1, 299), (1, 0)
-    valid, cost = _offset_lines(occ.reshape(-1), strides, starts, offsets, orthogonal)
-    lines = [discrete_line((0, 0), (1, 299), orthogonal), discrete_line((1, 299), (0, 0), orthogonal)]
-    lines.append(discrete_line((1, 0), (1, 150), orthogonal))
-    assert valid.tolist() == [_ref_line_valid(occ, line) for line in lines] == [False, False, True]
+    offsets = np.array([[0, 128], [0, -128]])
+    valid, cost = _offset_lines(occ.reshape(-1), strides, np.array([128, 128]), offsets, orthogonal)
+    lines = [discrete_line((0, 128), (0, 256), orthogonal), discrete_line((0, 128), (0, 0), orthogonal)]
+    assert valid.tolist() == [_ref_line_valid(occ, line) for line in lines] == [False, True]
     assert cost.tolist() == [_line_cost(line) for line in lines]
 
 
@@ -739,15 +737,17 @@ def test_sprm_matches_brute_force_roadmap(dims, size, connectivity):
 @pytest.mark.parametrize("dims", [2, 3])
 def test_roadmap_pairs_match_brute_force(dims, block, monkeypatch):
     # _roadmap_edges against every pair within radius whose line, from the
-    # lexicographically smaller cell, passes the reference walk
+    # lexicographically smaller cell, passes the reference walk; maps of more
+    # than 125 cells are left free, where every pair within radius is an edge,
+    # so the walk only runs on the small ones
     if block:  # many small work blocks instead of one
         monkeypatch.setattr(sampling, "_PAIR_BLOCK", block)
     rng = np.random.default_rng(71 + dims)
     for radius in RADII + (0.5, 30.0, math.inf):
         for trial in range(8):
             orthogonal = bool(trial % 2)
-            extent = tuple(int(e) for e in rng.integers(1, 10 if dims == 2 else 6, size=dims))
-            occ = rng.random(extent) < 0.25
+            extent = tuple(int(e) for e in rng.integers(1, 10, size=dims))
+            occ = (rng.random(extent) < 0.25) & (math.prod(extent) <= 125)
             free = np.argwhere(~occ)
             if not len(free):
                 continue
@@ -755,12 +755,13 @@ def test_roadmap_pairs_match_brute_force(dims, block, monkeypatch):
             i, j = _roadmap_edges(coords, occ, radius, orthogonal)
             cells = [tuple(int(c) for c in cell) for cell in coords]
             d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-            want = [
-                (p, q)
-                for p, q in np.argwhere((d2 <= radius * radius) & (d2 > 0)).tolist()
-                if p < q and _ref_line_valid(occ, discrete_line(*sorted((cells[p], cells[q])), orthogonal))
-            ]
-            assert list(zip(i.tolist(), j.tolist())) == want
+            pairs = np.argwhere(np.triu((d2 <= radius * radius) & (d2 > 0))).tolist()
+            if occ.any():
+                pairs = [
+                    (p, q) for p, q in pairs
+                    if _ref_line_valid(occ, discrete_line(*sorted((cells[p], cells[q])), orthogonal))
+                ]
+            assert list(zip(i.tolist(), j.tolist())) == list(map(tuple, pairs))
 
 
 @pytest.mark.parametrize("batch", [None, 5])
