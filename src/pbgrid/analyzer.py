@@ -26,8 +26,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from pbgrid.dataset import load_dataset
-from pbgrid.grid import GridMap, MoveModel, Path, distance_transform, euclidean_distance
+from pbgrid.grid import GridMap, MoveModel, distance_transform, euclidean_distance
 from pbgrid.mapgen import ConfigError, GenConfig, generate, place_agent_goal
 from pbgrid.mapio import ParseError, load_native, parse_movingai
 from pbgrid.metrics import compute_report
@@ -53,7 +52,6 @@ REPORT_COLUMNS = (
     "runs",
 )
 
-_STRING_COLUMNS = frozenset({"planner", "map_type", "hardware_tag"})
 
 # Which runs feed each aggregated metric.  Deviation and the path-shape
 # metrics only exist on successes; distance_left is only meaningful on
@@ -470,71 +468,6 @@ def complex_analysis(spec: BenchmarkSpec) -> AggregateStats:
 
 
 # ---------------------------------------------------------------------------
-# Dataset summaries
-
-
-@dataclass(frozen=True)
-class DatasetSummary:
-    """Per-path digest of a labeled dataset segment."""
-
-    map_index: int
-    obstacle_ratio: float
-    path_length_cells: float
-    start_goal_distance: float
-    steps: int
-
-
-def dataset_analysis(path: str, model: MoveModel = MoveModel()) -> List[DatasetSummary]:
-    """Summarize a dataset file: one row per contiguous labeled path.
-
-    A new segment starts whenever the map changes or the agent position
-    does not continue the previous record's labeled move.
-    """
-    records = load_dataset(FsPath(path).read_text(encoding="utf-8"))
-    summaries: List[DatasetSummary] = []
-    segment: List = []
-    expected_next = None
-
-    def flush():
-        if not segment:
-            return
-        first = segment[0]
-        dims = len(first.agent_position)
-        moves = model.moves(dims)
-        cells = [r.agent_position for r in segment]
-        last = segment[-1]
-        end = tuple(
-            p + d for p, d in zip(last.agent_position, moves[last.label])
-        )
-        cells.append(end)
-        walked = Path.from_cells(cells)
-        summaries.append(
-            DatasetSummary(
-                map_index=len(summaries),
-                obstacle_ratio=float(first.global_obstacle_map.mean()),
-                path_length_cells=walked.cost,
-                start_goal_distance=euclidean_distance(cells[0], end),
-                steps=len(segment),
-            )
-        )
-
-    for record in records:
-        same_map = segment and np.array_equal(
-            record.global_obstacle_map, segment[0].global_obstacle_map
-        )
-        if not (same_map and record.agent_position == expected_next):
-            flush()
-            segment = []
-        segment.append(record)
-        moves = model.moves(len(record.agent_position))
-        expected_next = tuple(
-            p + d for p, d in zip(record.agent_position, moves[record.label])
-        )
-    flush()
-    return summaries
-
-
-# ---------------------------------------------------------------------------
 # Result files (schema pbr1) and merging
 
 
@@ -721,39 +654,3 @@ def render_text_table(stats: AggregateStats) -> str:
         for warning in stats.warnings:
             out_lines.append(f"warning: {warning}")
     return "\n".join(out_lines) + "\n"
-
-
-def read_report_csv(path: str) -> List[Dict[str, object]]:
-    """Parse a report.csv back into typed rows (None for blank cells)."""
-    text = FsPath(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != ",".join(REPORT_COLUMNS):
-        raise VersionError(f"{path}: unexpected report header")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(REPORT_COLUMNS):
-            raise VersionError(f"{path}: row has {len(parts)} columns")
-        row: Dict[str, object] = {}
-        for col, token in zip(REPORT_COLUMNS, parts):
-            if col in _STRING_COLUMNS:
-                row[col] = token
-            elif token == "":
-                row[col] = None
-            elif col == "runs":
-                row[col] = int(token)
-            else:
-                row[col] = float(token)
-        rows.append(row)
-    return rows
-
-
-def read_report_jsonl(path: str) -> List[Dict[str, object]]:
-    """Parse a report.jsonl down to the pinned report columns."""
-    rows = []
-    for line in FsPath(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        rows.append({col: obj[col] for col in REPORT_COLUMNS})
-    return rows

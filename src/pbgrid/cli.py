@@ -45,7 +45,7 @@ from pbgrid.mapgen import ConfigError, GenConfig, MapType, generate, place_agent
 from pbgrid.mapio import NATIVE_VERSION, ParseError, load_map, parse_movingai, save_native
 from pbgrid.metrics import InconsistencyError, MetricReport, compute_report
 from pbgrid.planners import PlannerEntry, dump_trace, dump_tree, resolve_planner
-from pbgrid.planners.graph import astar, dijkstra, wavefront
+from pbgrid.planners.graph import astar
 from pbgrid.plots import PLOT_KINDS, emit_plots
 
 
@@ -347,11 +347,7 @@ def cmd_run(ns, overrides) -> int:
         raise UsageError(f"{entry.name} records a sample tree; use --tree")
     if ns.tree and entry.kind != "sampling":
         raise UsageError("--tree only applies to the sampling planners")
-    if ns.trace and entry.kind == "graph":
-        recorded = {"astar": astar, "dijkstra": dijkstra, "wavefront": wavefront}
-        outcome = recorded[entry.name](grid, model, record_steps=True)
-    else:
-        outcome = entry.run(grid, model, ns.seed, typed)
+    outcome = entry.run(grid, model, ns.seed, typed, record_steps=bool(ns.trace))
     if entry.name == "astar" and not typed:
         baseline = outcome
     else:

@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -405,3 +405,17 @@ class FlatGrid:
             out.append(idx // s - 1)
             idx %= s
         return tuple(out)
+
+    def to_cells(self, idx: np.ndarray) -> Iterator[Cell]:
+        """to_cell of every flat index in an integer array, in order.
+
+        Converts 1024 indices at a time, so the per-axis lists stay small
+        next to the tuples the caller keeps.
+        """
+        for lo in range(0, idx.size, 1024):
+            rest = idx[lo:lo + 1024]
+            axes = []
+            for s in self.strides:
+                row, rest = np.divmod(rest, s)
+                axes.append((row - 1).tolist())
+            yield from zip(*axes)

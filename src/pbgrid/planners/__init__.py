@@ -71,7 +71,7 @@ class PlannerEntry:
     name: str
     kind: str                       # "graph" | "sampling" | "local"
     params: Mapping[str, type]      # override key -> value type (for coercion)
-    _call: Callable[[GridMap, MoveModel, int, Dict[str, object]], PlanOutcome]
+    _call: Callable[[GridMap, MoveModel, int, Dict[str, object], bool], PlanOutcome]
 
     def run(
         self,
@@ -79,7 +79,11 @@ class PlannerEntry:
         model: MoveModel,
         seed: int = 0,
         overrides: Optional[Mapping[str, object]] = None,
+        record_steps: bool = False,
     ) -> PlanOutcome:
+        """Run the planner. ``record_steps`` asks a graph planner for the
+        expansion log that ``dump_trace`` writes; the local planners always
+        log their walk and the samplers their tree."""
         cleaned: Dict[str, object] = {}
         for key, value in dict(overrides or {}).items():
             key = _PARAM_ALIASES.get(key, key)
@@ -90,18 +94,18 @@ class PlannerEntry:
                     f" (accepted: {allowed})"
                 )
             cleaned[key] = value
-        return self._call(grid, model, seed, cleaned)
+        return self._call(grid, model, seed, cleaned, record_steps)
 
 
 def _graph_call(fn):
-    def call(grid, model, seed, overrides):
-        return fn(grid, model)
+    def call(grid, model, seed, overrides, record_steps):
+        return fn(grid, model, record_steps=record_steps)
 
     return call
 
 
 def _sampling_call(fn):
-    def call(grid, model, seed, overrides):
+    def call(grid, model, seed, overrides, record_steps):
         try:
             params = SamplerParams(seed=seed, **overrides)
         except ValueError as exc:
@@ -112,7 +116,7 @@ def _sampling_call(fn):
 
 
 def _bug_call(fn):
-    def call(grid, model, seed, overrides):
+    def call(grid, model, seed, overrides, record_steps):
         step_limit = overrides.get("step_limit")
         follow_left = bool(overrides.get("follow_left", True))
         return fn(grid, model, step_limit, follow_left=follow_left)
@@ -120,7 +124,7 @@ def _bug_call(fn):
     return call
 
 
-def _potential_call(grid, model, seed, overrides):
+def _potential_call(grid, model, seed, overrides, record_steps):
     try:
         params = PotentialParams(**overrides)
     except ValueError as exc:

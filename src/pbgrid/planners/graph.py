@@ -2,14 +2,23 @@
 
 A* doubles as the optimal baseline for the deviation metric and the dataset
 labelling oracle, so its tie-breaking is pinned: lower f, then lower h, then
-lexicographic cell order.
+lexicographic cell order. It runs a binary heap, one cell at a time.
+
+Dijkstra and the wavefront are numpy searches over FlatGrid's legality
+tables that settle a whole band of distance, or a whole breadth-first level,
+per step. Each returns exactly the outcome of the one-cell-at-a-time search
+it replaces (Dijkstra: the heap search with a zero heuristic; wavefront: a
+FIFO queue), path, explored set and step log included. Their frontier_peak
+and peak_memory_bytes are the nominal heap or queue counts of that search,
+computed from its pushes rather than held.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from heapq import heappop, heappush
+
+import numpy as np
 
 from pbgrid.grid import (
     SQRT2,
@@ -153,8 +162,153 @@ def astar(grid: GridMap, model: MoveModel, record_steps: bool = False) -> PlanOu
 
 
 def dijkstra(grid: GridMap, model: MoveModel, record_steps: bool = False) -> PlanOutcome:
-    """A* with a zero heuristic; same optimal cost, larger explored set."""
-    return _heap_search(grid, model, use_heuristic=False, record_steps=record_steps)
+    """Dijkstra's search, settled one unit band of distance at a time.
+
+    Every step costs at least 1, so once all distances below an integer k
+    are final, every tentative distance in [k, k+1) is final too: a band is
+    settled with one gather over the moves and one ``np.minimum.at``. The
+    distances are the left-to-right float sums a heap search computes, and
+    the outcome is the one ``_heap_search`` gives with a zero heuristic:
+    the same pops in (distance, cell) order up to the goal, the same parents
+    and the same pushes. ``frontier_peak`` and ``peak_memory_bytes`` are the
+    nominal heap, dict and set counts of that search, computed from its
+    pushes rather than held.
+    """
+    t0 = time.perf_counter()
+    _require_endpoints(grid)
+    if grid.agent == grid.goal:
+        return _trivial_outcome(grid, time.perf_counter() - t0)
+
+    fg = FlatGrid(grid, model)
+    start_idx, goal_idx = fg.agent, fg.goal
+    tables, deltas, costs = _move_arrays(fg)
+
+    dist = np.full(fg.size, np.inf)
+    dist[start_idx] = 0.0
+    pending = np.array([start_idx])  # cells pushed but not yet final, repeats allowed
+    bands, pushes = [], []
+    popped = 0
+    found = False
+    while pending.size and not found:
+        d = dist[pending]
+        top = np.floor(d.min()) + 1.0
+        inside = d < top
+        band = np.unique(pending[inside])
+        pending = pending[~inside]
+        band = band[np.argsort(dist[band], kind="stable")]  # heap pop order
+        if dist[goal_idx] < top:
+            found = True
+            band = band[: np.flatnonzero(band == goal_idx)[0]]  # the goal is not expanded
+        legal = _legality(tables, band)
+        to = (band[:, None] + deltas)[legal.T]
+        value = (dist[band][:, None] + costs)[legal.T]
+        pos = np.repeat(np.arange(band.size), legal.sum(axis=0))
+        better = value < dist[to]
+        to, value, pos = _improvements(to[better], value[better], pos[better], band.size)
+        np.minimum.at(dist, to, value)
+        pending = np.concatenate((pending, to))
+        bands.append(band)
+        pushes.append((to, value, pos + popped))
+        popped += band.size
+
+    elapsed = time.perf_counter() - t0
+    expanded = np.concatenate(bands)
+    closed = np.append(expanded, goal_idx) if found else expanded
+    to, value, by = (np.concatenate(parts) for parts in zip(*pushes))
+    final = value == dist[to]  # each pushed cell's last push
+    frontier_peak = _heap_peak(dist, expanded, to[~final], value[~final], by, fg.size)
+    pushed = int(np.count_nonzero(final))
+    memory = (
+        frontier_peak * HEAP_ENTRY_BYTES
+        + (1 + 2 * pushed) * DICT_ENTRY_BYTES
+        + closed.size * SET_ENTRY_BYTES
+    )
+    cells = fg.to_cells(closed)
+    step_log = None
+    if record_steps:
+        cells = list(cells)
+        g = dist[closed].tolist()
+        step_log = list(zip(cells, g, g))
+    trace = SearchTrace(explored=set(cells), frontier_peak=frontier_peak, step_log=step_log)
+    if not found:
+        return PlanOutcome(
+            success=False,
+            path=None,
+            trace=trace,
+            elapsed_seconds=elapsed,
+            peak_memory_bytes=memory,
+            terminal_cell=grid.agent,
+            failure_reason=UNREACHABLE,
+        )
+    parent = np.empty(fg.size, dtype=expanded.dtype)
+    parent[to[final]] = expanded[by[final]]
+    chain = [goal_idx]
+    while chain[-1] != start_idx:
+        chain.append(int(parent[chain[-1]]))
+    return PlanOutcome(
+        success=True,
+        path=Path.from_cells(fg.to_cells(np.array(chain[::-1]))),
+        trace=trace,
+        elapsed_seconds=elapsed,
+        peak_memory_bytes=memory,
+        terminal_cell=grid.goal,
+    )
+
+
+def _move_arrays(fg: FlatGrid):
+    """Each move's legality table as a numpy view (no copy), with the move
+    deltas and step costs as arrays, all in ``fg.moves`` order."""
+    tables = [np.frombuffer(entry[1], dtype=bool) for entry in fg.moves]
+    deltas = np.array([entry[0] for entry in fg.moves])
+    costs = np.array([entry[2] for entry in fg.moves])
+    return tables, deltas, costs
+
+
+def _legality(tables, nodes: np.ndarray) -> np.ndarray:
+    """(moves x nodes) legality of every move out of ``nodes``; its transpose
+    lists them in the order a one-node-at-a-time search tries them."""
+    return np.array([table[nodes] for table in tables])
+
+
+def _improvements(to, value, pos, n):
+    """The edges of one band that a heap search pushes, sorted by target.
+
+    Each edge already beats its target's distance from earlier bands; it is
+    pushed when it also beats every edge into the same target from an
+    earlier-popped node of the band (pos is the pop position in the band):
+    a strict running minimum of value along each target's edges.
+    """
+    order = np.argsort(to * n + pos)
+    to, value, pos = to[order], value[order], pos[order]
+    head = np.ones(to.size, dtype=bool)
+    head[1:] = to[1:] != to[:-1]
+    distinct, rank = np.unique(value, return_inverse=True)
+    # later targets get lower keys, so one running minimum restarts at each target
+    key = rank - np.cumsum(head) * distinct.size
+    keep = head.copy()
+    keep[1:] |= key[1:] < np.minimum.accumulate(key)[:-1]
+    return to[keep], value[keep], pos[keep]
+
+
+def _heap_peak(dist, expanded, stale_to, stale_value, by, size) -> int:
+    """Largest heap of the equivalent heap search.
+
+    After the i-th expanded node's pop and pushes the heap holds
+    1 + (pushes so far) - (pops so far). The pops so far are that node's own
+    (distance, cell) entry and every entry ordered before it: the i earlier
+    nodes' own entries and the stale entries ordered before it. A node
+    without pushes only shrinks the heap, so the maximum over all nodes is
+    the peak the heap search records after its pushes.
+    """
+    rank = np.arange(expanded.size)
+    if stale_to.size:
+        d = dist[expanded]
+        distinct = np.unique(np.concatenate((d, stale_value)))
+        own = np.searchsorted(distinct, d) * size + expanded
+        stale = np.sort(np.searchsorted(distinct, stale_value) * size + stale_to)
+        rank += np.searchsorted(stale, own)
+    held = np.cumsum(np.bincount(by, minlength=expanded.size)) - rank
+    return max(1, int(held.max()))
 
 
 # Descent prefers cheaper moves among equal wave values (orthogonal before
@@ -169,7 +323,11 @@ def wavefront(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pl
 
     The wave covers the goal's entire free component (the classical
     navigation-function construction); the agent succeeds iff its cell
-    received a wave value.
+    received a wave value. The wave grows one level at a time: a level's
+    children are its cells' legal, unvisited neighbours, each kept at its
+    first discovery in (parent, move) order, which is the order a FIFO queue
+    assigns them. ``frontier_peak`` is the nominal peak length of that queue,
+    computed from the per-parent child counts rather than held.
     """
     t0 = time.perf_counter()
     _require_endpoints(grid)
@@ -177,34 +335,45 @@ def wavefront(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pl
         return _trivial_outcome(grid, time.perf_counter() - t0)
 
     fg = FlatGrid(grid, model)
-    moves = fg.moves
     start_idx, goal_idx = fg.agent, fg.goal
+    tables, deltas, _costs = _move_arrays(fg)
 
-    wave = [-1] * fg.size
-    wave[goal_idx] = 0
-    queue = deque([goal_idx])
-    assigned = [goal_idx]
-    queue_peak = 1
-    while queue:
-        idx = queue.popleft()
-        w1 = wave[idx] + 1
-        for delta, legal, _cost, _vec in moves:
-            nidx = idx + delta
-            if not legal[idx] or wave[nidx] >= 0:
-                continue
-            wave[nidx] = w1
-            queue.append(nidx)
-            assigned.append(nidx)
-            if len(queue) > queue_peak:
-                queue_peak = len(queue)
+    # first[v]: the earliest edge of this level into v; reached cells hold -1,
+    # below every edge id, so they never take a later edge
+    first = np.full(fg.size, np.iinfo(np.int32).max, dtype=np.int32)
+    first[goal_idx] = -1
+    level = np.array([goal_idx])
+    levels, parents = [level], []
+    done = 0
+    while level.size:
+        legal = _legality(tables, level)
+        to = (level[:, None] + deltas)[legal.T]
+        edge = np.arange(to.size, dtype=np.int32)
+        np.minimum.at(first, to, edge)
+        new = first[to] == edge
+        parents.append(np.repeat(np.arange(done, done + level.size), legal.sum(axis=0))[new])
+        done += level.size
+        level = to[new]
+        first[level] = -1
+        levels.append(level)
 
     elapsed_expand = time.perf_counter() - t0
-    explored = {fg.to_cell(i) for i in assigned}
+    assigned = np.concatenate(levels)
+    # the queue right after the k-th cell is appended holds it and every cell
+    # after its parent
+    queue_peak = max(1, int((np.arange(1, assigned.size) - np.concatenate(parents)).max(initial=0)))
+    wave = first  # reused: every cell now holds -1 (reached) or the int32 maximum
+    wave.fill(-1)
+    wave[assigned] = np.repeat(np.arange(len(levels), dtype=np.int32), [lv.size for lv in levels])
+    del levels, parents
+    cells = fg.to_cells(assigned)
     step_log = None
     if record_steps:
-        step_log = [(fg.to_cell(i), float(wave[i]), float(wave[i])) for i in assigned]
+        cells = list(cells)
+        w = wave[assigned].astype(float).tolist()
+        step_log = list(zip(cells, w, w))
     memory = len(wave) * WAVE_CELL_BYTES + queue_peak * HEAP_ENTRY_BYTES
-    trace = SearchTrace(explored=explored, frontier_peak=queue_peak, step_log=step_log)
+    trace = SearchTrace(explored=set(cells), frontier_peak=queue_peak, step_log=step_log)
 
     if wave[start_idx] < 0:
         return PlanOutcome(

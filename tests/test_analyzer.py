@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,19 +19,16 @@ from pbgrid.analyzer import (
     RunRecord,
     VersionError,
     complex_analysis,
-    dataset_analysis,
     derive_seed,
     emit_report,
     load_results,
     merge_results,
-    read_report_csv,
-    read_report_jsonl,
     render_text_table,
     save_results,
     simple_analysis,
 )
-from pbgrid.dataset import label_dataset, save_dataset
-from pbgrid.grid import GridMap, MoveModel, euclidean_distance
+from pbgrid.dataset import label_dataset, load_dataset, save_dataset
+from pbgrid.grid import GridMap, MoveModel, Path as CellPath, euclidean_distance
 from pbgrid.mapgen import ConfigError, GenConfig, MapType
 from pbgrid.mapio import save_native
 from pbgrid.planners import available_planners, resolve_planner
@@ -444,6 +442,43 @@ def test_merge_single_file_is_identity(tmp_path):
 # Report emission
 
 
+_STRING_COLUMNS = frozenset({"planner", "map_type", "hardware_tag"})
+
+
+def read_report_csv(path):
+    """Parse a report.csv back into typed rows (None for blank cells)."""
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
+    if not lines or lines[0] != ",".join(REPORT_COLUMNS):
+        raise VersionError(f"{path}: unexpected report header")
+    rows = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != len(REPORT_COLUMNS):
+            raise VersionError(f"{path}: row has {len(parts)} columns")
+        row = {}
+        for col, token in zip(REPORT_COLUMNS, parts):
+            if col in _STRING_COLUMNS:
+                row[col] = token
+            elif token == "":
+                row[col] = None
+            elif col == "runs":
+                row[col] = int(token)
+            else:
+                row[col] = float(token)
+        rows.append(row)
+    return rows
+
+
+def read_report_jsonl(path):
+    """Parse a report.jsonl down to the pinned report columns."""
+    rows = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if line.strip():
+            obj = json.loads(line)
+            rows.append({col: obj[col] for col in REPORT_COLUMNS})
+    return rows
+
+
 def round6(value):
     if value is None:
         return None
@@ -519,6 +554,61 @@ def test_golden_report(tmp_path):
 
 # ---------------------------------------------------------------------------
 # Dataset summaries
+
+
+@dataclasses.dataclass(frozen=True)
+class DatasetSummary:
+    """Per-path digest of a labeled dataset segment."""
+
+    map_index: int
+    obstacle_ratio: float
+    path_length_cells: float
+    start_goal_distance: float
+    steps: int
+
+
+def dataset_analysis(path, model=MoveModel()):
+    """Summarize a dataset file: one row per contiguous labeled path.
+
+    A new segment starts whenever the map changes or the agent position
+    does not continue the previous record's labeled move.
+    """
+    records = load_dataset(Path(path).read_text(encoding="utf-8"))
+    summaries = []
+    segment = []
+    expected_next = None
+
+    def flush():
+        if not segment:
+            return
+        first = segment[0]
+        moves = model.moves(len(first.agent_position))
+        cells = [r.agent_position for r in segment]
+        last = segment[-1]
+        end = tuple(p + d for p, d in zip(last.agent_position, moves[last.label]))
+        cells.append(end)
+        summaries.append(
+            DatasetSummary(
+                map_index=len(summaries),
+                obstacle_ratio=float(first.global_obstacle_map.mean()),
+                path_length_cells=CellPath.from_cells(cells).cost,
+                start_goal_distance=euclidean_distance(cells[0], end),
+                steps=len(segment),
+            )
+        )
+
+    for record in records:
+        same_map = segment and np.array_equal(
+            record.global_obstacle_map, segment[0].global_obstacle_map
+        )
+        if not (same_map and record.agent_position == expected_next):
+            flush()
+            segment = []
+        segment.append(record)
+        moves = model.moves(len(record.agent_position))
+        expected_next = tuple(p + d for p, d in zip(record.agent_position, moves[record.label]))
+    flush()
+    return summaries
 
 
 def test_dataset_analysis_single_map(tmp_path):

@@ -284,6 +284,15 @@ def test_flatgrid_round_trip_indices():
         assert fg.to_cell(fg.to_flat(cell)) == cell
 
 
+def test_flatgrid_to_cells_matches_to_cell():
+    rng = np.random.default_rng(7)
+    for shape in ((4, 5), (3, 4, 5), (40, 50)):  # the last spans several chunks
+        fg = FlatGrid(GridMap(np.zeros(shape, dtype=bool)), FULL)
+        idx = rng.permutation(fg.size)  # border indices included
+        assert list(fg.to_cells(idx)) == [fg.to_cell(int(i)) for i in idx]
+        assert list(fg.to_cells(idx[:0])) == []
+
+
 def _table_neighbors(fg, cell):
     """neighbors() as read from the legality tables."""
     idx = fg.to_flat(cell)

@@ -1,5 +1,6 @@
 import io
 import math
+import time
 from collections import deque
 
 import numpy as np
@@ -7,16 +8,40 @@ import pytest
 
 from pbgrid.grid import (
     Connectivity,
+    FlatGrid,
     GridMap,
     MapError,
     MoveModel,
+    Path,
     neighbors,
     validate_path,
 )
-from pbgrid.planners.graph import astar, dijkstra, dump_trace, heuristic, wavefront
+from pbgrid.cli import main as cli_main
+from pbgrid.mapgen import GenConfig, MapType, generate, place_agent_goal
+from pbgrid.mapio import load_map
+from pbgrid.planners import resolve_planner
+from pbgrid.planners.base import (
+    HEAP_ENTRY_BYTES,
+    UNREACHABLE,
+    WAVE_CELL_BYTES,
+    PlanOutcome,
+    SearchTrace,
+)
+from pbgrid.planners.graph import (
+    _descent_order,
+    _heap_search,
+    _require_endpoints,
+    _trivial_outcome,
+    astar,
+    dijkstra,
+    dump_trace,
+    heuristic,
+    wavefront,
+)
 
 FULL = MoveModel(Connectivity.FULL)
 ORTH = MoveModel(Connectivity.ORTHOGONAL)
+U_TRAP = "tests/fixtures/u_trap.map"  # the goal lies behind a U-shaped wall open toward the agent
 
 
 # --- independent oracles -----------------------------------------------------
@@ -127,6 +152,79 @@ def random_instance(rng, size=8, fill=0.35, dims=2):
         return None
     picks = rng.choice(len(free), size=2, replace=False)
     return GridMap(occ, agent=tuple(free[picks[0]]), goal=tuple(free[picks[1]]))
+
+
+def deque_wavefront(grid, model, record_steps=False):
+    """The wavefront planner as a FIFO queue, one cell at a time: the oracle
+    for the level-at-a-time search, with the planner's own greedy descent."""
+    t0 = time.perf_counter()
+    _require_endpoints(grid)
+    if grid.agent == grid.goal:
+        return _trivial_outcome(grid, time.perf_counter() - t0)
+
+    fg = FlatGrid(grid, model)
+    start_idx, goal_idx = fg.agent, fg.goal
+    wave = [-1] * fg.size
+    wave[goal_idx] = 0
+    queue = deque([goal_idx])
+    assigned = [goal_idx]
+    queue_peak = 1
+    while queue:
+        idx = queue.popleft()
+        for delta, legal, _cost, _vec in fg.moves:
+            nidx = idx + delta
+            if not legal[idx] or wave[nidx] >= 0:
+                continue
+            wave[nidx] = wave[idx] + 1
+            queue.append(nidx)
+            assigned.append(nidx)
+            queue_peak = max(queue_peak, len(queue))
+
+    step_log = None
+    if record_steps:
+        step_log = [(fg.to_cell(i), float(wave[i]), float(wave[i])) for i in assigned]
+    trace = SearchTrace(
+        explored={fg.to_cell(i) for i in assigned}, frontier_peak=queue_peak, step_log=step_log
+    )
+    memory = len(wave) * WAVE_CELL_BYTES + queue_peak * HEAP_ENTRY_BYTES
+    if wave[start_idx] < 0:
+        return PlanOutcome(False, None, trace, 0.0, memory, grid.agent, UNREACHABLE)
+    cells = [grid.agent]
+    idx = start_idx
+    while idx != goal_idx:
+        for delta, legal, _cost, vec in _descent_order(fg):
+            if legal[idx] and 0 <= wave[idx + delta] < wave[idx]:
+                idx += delta
+                cells.append(tuple(c + d for c, d in zip(cells[-1], vec)))
+                break
+        else:
+            raise AssertionError("descent lost the gradient")
+    return PlanOutcome(True, Path.from_cells(cells), trace, 0.0, memory, grid.goal)
+
+
+def outcome_fields(out):
+    """Every PlanOutcome field but the wall time."""
+    t = out.trace
+    return (
+        out.success,
+        out.path,
+        t.explored,
+        t.frontier_peak,
+        t.step_log,
+        out.peak_memory_bytes,
+        out.terminal_cell,
+        out.failure_reason,
+    )
+
+
+def assert_matches_oracles(grid, model):
+    for record_steps in (False, True):
+        assert outcome_fields(dijkstra(grid, model, record_steps)) == outcome_fields(
+            _heap_search(grid, model, use_heuristic=False, record_steps=record_steps)
+        )
+        assert outcome_fields(wavefront(grid, model, record_steps)) == outcome_fields(
+            deque_wavefront(grid, model, record_steps)
+        )
 
 
 # --- heuristic ---------------------------------------------------------------
@@ -371,6 +469,73 @@ def test_wavefront_deviation_small_on_open_maps():
     assert min(devs) >= 0.0
 
 
+# --- dijkstra and wavefront against their one-cell-at-a-time oracles -----------
+
+@pytest.mark.parametrize("model", [FULL, ORTH], ids=["full", "orthogonal"])
+@pytest.mark.parametrize("map_type", list(MapType), ids=lambda t: t.value)
+@pytest.mark.parametrize("extent", [(20, 20), (10, 10, 10)], ids=["2d", "3d"])
+def test_search_outcomes_match_oracles_on_generated_maps(extent, map_type, model):
+    rooms = {} if len(extent) == 2 else {"min_room_range": (3, 4), "max_room_range": (6, 8)}
+    for seed in range(2):
+        base = generate(GenConfig(map_type=map_type, extent=extent, seed=seed, **rooms))
+        for draw in range(2):
+            assert_matches_oracles(place_agent_goal(base, np.random.default_rng(draw)), model)
+
+
+@pytest.mark.parametrize("model", [FULL, ORTH], ids=["full", "orthogonal"])
+def test_search_outcomes_match_oracles_on_dense_maps(model):
+    rng = np.random.default_rng(131)
+    unreachable = 0
+    for size, dims in ((16, 2), (11, 2), (7, 3)):
+        for fill in (0.45, 0.5, 0.6):
+            for _ in range(4):
+                g = random_instance(rng, size=size, fill=fill, dims=dims)
+                if g is None:
+                    continue
+                assert_matches_oracles(g, model)
+                unreachable += not dijkstra(g, model).success
+    assert unreachable >= 5  # the exhausted-search branch ran
+
+
+def test_search_outcomes_match_oracles_with_adjacent_goal():
+    rng = np.random.default_rng(137)
+    for dims in (2, 3):
+        for _ in range(10):
+            g = random_instance(rng, size=8 if dims == 2 else 5, fill=0.3, dims=dims)
+            if g is None:
+                continue
+            for model in (FULL, ORTH):
+                for cell, _ in neighbors(g, g.agent, model):
+                    assert_matches_oracles(g.with_endpoints(g.agent, cell), model)
+
+
+def test_search_outcomes_match_oracles_at_band_edges():
+    # the goal's distance is an integer, the lower edge of its band, reached
+    # straight and also offered by a diagonal detour from the band before
+    open3 = np.zeros((3, 3), dtype=bool)
+    assert_matches_oracles(GridMap(open3, agent=(0, 0), goal=(0, 2)), FULL)
+    # a wall leaves a straight corridor whose cells all sit on band edges,
+    # next to an open room whose cells do not
+    occ = np.zeros((6, 9), dtype=bool)
+    occ[1, 1:8] = True
+    for goal in ((0, 8), (2, 8), (5, 4)):
+        for model in (FULL, ORTH):
+            assert_matches_oracles(GridMap(occ, agent=(0, 0), goal=goal), model)
+    cube = np.zeros((4, 4, 4), dtype=bool)
+    cube[1, 1:3, :] = True
+    for goal in ((0, 0, 3), (3, 3, 3), (2, 0, 2)):
+        assert_matches_oracles(GridMap(cube, agent=(0, 0, 0), goal=goal), FULL)
+
+
+def test_registry_record_steps_reaches_graph_planners():
+    g = GridMap(np.zeros((5, 5), dtype=bool), agent=(0, 0), goal=(4, 3))
+    for name, planner in (("astar", astar), ("dijkstra", dijkstra), ("wavefront", wavefront)):
+        entry = resolve_planner(name)
+        assert entry.run(g, FULL).trace.step_log is None
+        recorded = entry.run(g, FULL, record_steps=True)
+        assert outcome_fields(recorded) == outcome_fields(planner(g, FULL, record_steps=True))
+
+
 # --- trace dump ----------------------------------------------------------------
 
 def test_dump_trace_line_per_expansion():
@@ -389,3 +554,22 @@ def test_dump_trace_requires_recorded_steps():
     out = astar(g, FULL)
     with pytest.raises(ValueError):
         dump_trace(out, io.StringIO())
+
+
+@pytest.mark.parametrize("connectivity", ["full", "orthogonal"])
+def test_cli_trace_equals_oracle_trace(tmp_path, capsys, connectivity):
+    grid = load_map(U_TRAP)
+    model = MoveModel(Connectivity(connectivity))
+    oracles = {
+        "astar": lambda: _heap_search(grid, model, use_heuristic=True, record_steps=True),
+        "dijkstra": lambda: _heap_search(grid, model, use_heuristic=False, record_steps=True),
+        "wavefront": lambda: deque_wavefront(grid, model, record_steps=True),
+    }
+    for name, oracle in oracles.items():
+        written = tmp_path / f"{name}.txt"
+        argv = ["run", U_TRAP, "--planner", name, "--connectivity", connectivity]
+        assert cli_main(argv + ["--trace", str(written)]) == 0
+        expected = io.StringIO()
+        dump_trace(oracle(), expected)
+        assert written.read_text(encoding="utf-8") == expected.getvalue()
+    capsys.readouterr()

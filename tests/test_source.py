@@ -1,6 +1,9 @@
 """Checks on the library source itself, with the standard library only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -31,3 +34,18 @@ def test_src_has_no_unused_imports():
     paths = sorted(SRC.rglob("*.py"))
     assert paths
     assert [hit for path in paths for hit in _unused_imports(path)] == []
+
+
+def test_cli_import_loads_no_sparse_graph_modules():
+    """Importing the CLI must not pull in scipy.sparse: csgraph alone adds a
+    tenth of a second or more to every fresh interpreter."""
+    probe = (
+        "import sys, pbgrid.cli; "
+        "print(' '.join(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    )
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == []
