@@ -362,10 +362,10 @@ def wavefront(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pl
     # the queue right after the k-th cell is appended holds it and every cell
     # after its parent
     queue_peak = max(1, int((np.arange(1, assigned.size) - np.concatenate(parents)).max(initial=0)))
-    wave = first  # reused: every cell now holds -1 (reached) or the int32 maximum
-    wave.fill(-1)
-    wave[assigned] = np.repeat(np.arange(len(levels), dtype=np.int32), [lv.size for lv in levels])
-    del levels, parents
+    sizes = [lv.size for lv in levels]
+    del first, levels, parents  # freed before the explored set is built: it sets the peak
+    wave = np.full(fg.size, -1, dtype=np.int32)
+    wave[assigned] = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
     cells = fg.to_cells(assigned)
     step_log = None
     if record_steps:
