@@ -193,12 +193,13 @@ def dijkstra(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pla
         d = dist[pending]
         top = np.floor(d.min()) + 1.0
         inside = d < top
-        band = np.unique(pending[inside])
+        band = pending[inside]
         pending = pending[~inside]
-        band = band[np.argsort(dist[band], kind="stable")]  # heap pop order
+        band = band[_order(dist[band], band)]  # heap pop order
+        band = band[np.append(True, band[1:] != band[:-1])]  # a cell pushed twice is pending twice
         if dist[goal_idx] < top:
             found = True
-            band = band[: np.flatnonzero(band == goal_idx)[0]]  # the goal is not expanded
+            band = band[: band.tolist().index(goal_idx)]  # the goal is not expanded
         legal = _legality(tables, band)
         to = (band[:, None] + deltas)[legal.T]
         value = (dist[band][:, None] + costs)[legal.T]
@@ -216,7 +217,7 @@ def dijkstra(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pla
     closed = np.append(expanded, goal_idx) if found else expanded
     to, value, by = (np.concatenate(parts) for parts in zip(*pushes))
     final = value == dist[to]  # each pushed cell's last push
-    frontier_peak = _heap_peak(dist, expanded, to[~final], value[~final], by, fg.size)
+    frontier_peak = _heap_peak(expanded, dist[expanded], to[~final], value[~final], by)
     pushed = int(np.count_nonzero(final))
     memory = (
         frontier_peak * HEAP_ENTRY_BYTES
@@ -267,48 +268,56 @@ def _move_arrays(fg: FlatGrid):
 def _legality(tables, nodes: np.ndarray) -> np.ndarray:
     """(moves x nodes) legality of every move out of ``nodes``; its transpose
     lists them in the order a one-node-at-a-time search tries them."""
-    return np.array([table[nodes] for table in tables])
+    legal = np.empty((len(tables), nodes.size), dtype=bool)
+    for move, table in enumerate(tables):  # one row at a time keeps few temporaries alive
+        legal[move] = table[nodes]
+    return legal
+
+
+def _order(primary, secondary):
+    """Indices that sort by (primary, secondary), ties kept in input order."""
+    order = np.argsort(secondary, kind="stable")
+    return order[np.argsort(primary[order], kind="stable")]
 
 
 def _improvements(to, value, pos, n):
-    """The edges of one band that a heap search pushes, sorted by target.
+    """The edges of one band that a heap search pushes.
 
     Each edge already beats its target's distance from earlier bands; it is
     pushed when it also beats every edge into the same target from an
-    earlier-popped node of the band (pos is the pop position in the band):
-    a strict running minimum of value along each target's edges.
+    earlier-popped node of the band (pos is the pop position in the band).
+    In (target, value, pos) order that is an edge whose pos is below the pos
+    of every edge before it into the same target.
     """
-    order = np.argsort(to * n + pos)
+    order = _order(to, value)  # stable, so equal values stay in pop order
     to, value, pos = to[order], value[order], pos[order]
     head = np.ones(to.size, dtype=bool)
     head[1:] = to[1:] != to[:-1]
-    distinct, rank = np.unique(value, return_inverse=True)
     # later targets get lower keys, so one running minimum restarts at each target
-    key = rank - np.cumsum(head) * distinct.size
+    key = pos - np.cumsum(head) * n
     keep = head.copy()
     keep[1:] |= key[1:] < np.minimum.accumulate(key)[:-1]
     return to[keep], value[keep], pos[keep]
 
 
-def _heap_peak(dist, expanded, stale_to, stale_value, by, size) -> int:
+def _heap_peak(expanded, expanded_dist, stale_to, stale_value, by) -> int:
     """Largest heap of the equivalent heap search.
 
-    After the i-th expanded node's pop and pushes the heap holds
+    ``expanded`` lists the expanded nodes in pop order, ``stale_*`` the
+    entries that a later push superseded, and ``by`` the pop position of
+    each push. After the i-th expanded node's pop and pushes the heap holds
     1 + (pushes so far) - (pops so far). The pops so far are that node's own
     (distance, cell) entry and every entry ordered before it: the i earlier
     nodes' own entries and the stale entries ordered before it. A node
     without pushes only shrinks the heap, so the maximum over all nodes is
     the peak the heap search records after its pushes.
     """
-    rank = np.arange(expanded.size)
-    if stale_to.size:
-        d = dist[expanded]
-        distinct = np.unique(np.concatenate((d, stale_value)))
-        own = np.searchsorted(distinct, d) * size + expanded
-        stale = np.sort(np.searchsorted(distinct, stale_value) * size + stale_to)
-        rank += np.searchsorted(stale, own)
-    held = np.cumsum(np.bincount(by, minlength=expanded.size)) - rank
-    return max(1, int(held.max()))
+    stale = np.repeat((False, True), (expanded.size, stale_to.size))
+    order = _order(np.concatenate((expanded_dist, stale_value)), np.concatenate((expanded, stale_to)))
+    stale = stale[order]
+    stale_before = np.cumsum(stale)[~stale]
+    pushes = np.cumsum(np.bincount(by, minlength=expanded.size))
+    return max(1, int((pushes - np.arange(expanded.size) - stale_before).max()))
 
 
 # Descent prefers cheaper moves among equal wave values (orthogonal before
