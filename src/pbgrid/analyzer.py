@@ -480,7 +480,8 @@ def save_results(stats: AggregateStats, path: str) -> None:
         )
     ]
     for run in stats.runs:
-        lines.append(json.dumps(dataclasses.asdict(run), sort_keys=True))
+        # fields are flat primitives, so no dataclasses.asdict deep copy
+        lines.append(json.dumps({f: getattr(run, f) for f in _RUN_FIELDS}, sort_keys=True))
     FsPath(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -2,7 +2,9 @@
 
 A* doubles as the optimal baseline for the deviation metric and the dataset
 labelling oracle, so its tie-breaking is pinned: lower f, then lower h, then
-lexicographic cell order. It runs a binary heap, one cell at a time.
+lexicographic cell order. It runs a binary heap, one cell at a time; the last
+tie-break compares padded row-major flat indices, which order in-bounds cells
+as their tuples do.
 
 Dijkstra and the wavefront are numpy searches over FlatGrid's legality
 tables that settle a whole band of distance, or a whole breadth-first level,
@@ -47,14 +49,37 @@ def heuristic(a, b, model: MoveModel) -> float:
     Manhattan for Orthogonal. Admissible for Euclidean step costs."""
     if len(a) != len(b):
         raise DomainError(f"dimensionality mismatch: {len(a)} vs {len(b)}")
-    deltas = sorted((abs(x - y) for x, y in zip(a, b)), reverse=True)
+    return _goal_heuristic(b, model)(a)
+
+
+def _goal_heuristic(goal, model: MoveModel):
+    """``heuristic(cell, goal, model)`` as a function of ``cell`` alone.
+
+    The per-axis gaps are ints; sorted descending as d1 >= d2 (>= d3) the
+    distance is (d1 - d2) + SQRT2 * d2 in 2D and (d1 - d2) + SQRT2 * (d2 - d3)
+    + SQRT3 * d3 in 3D, and their sum under Orthogonal connectivity.
+    """
     if model.connectivity is Connectivity.ORTHOGONAL:
-        return float(sum(deltas))
-    if len(deltas) == 2:
-        d1, d2 = deltas
-        return (d1 - d2) + SQRT2 * d2
-    d1, d2, d3 = deltas
-    return (d1 - d2) + SQRT2 * (d2 - d3) + SQRT3 * d3
+        return lambda cell: float(sum([abs(x - y) for x, y in zip(cell, goal)]))
+    if len(goal) == 2:
+        g0, g1 = goal
+
+        def octile(cell):
+            a, b = abs(cell[0] - g0), abs(cell[1] - g1)
+            if a < b:
+                a, b = b, a
+            return (a - b) + SQRT2 * b
+
+        return octile
+    g0, g1, g2 = goal
+
+    def voxel_octile(cell):
+        a, b, c = abs(cell[0] - g0), abs(cell[1] - g1), abs(cell[2] - g2)
+        d1, d3 = max(a, b, c), min(a, b, c)
+        d2 = a + b + c - d1 - d3
+        return (d1 - d2) + SQRT2 * (d2 - d3) + SQRT3 * d3
+
+    return voxel_octile
 
 
 def _require_endpoints(grid: GridMap):
@@ -86,22 +111,24 @@ def _heap_search(
 
     fg = FlatGrid(grid, model)
     moves = fg.moves
-    goal_cell = grid.goal
     start_idx, goal_idx = fg.agent, fg.goal
 
     g_cost = {start_idx: 0.0}
     parent = {}
     closed = set()
     step_log = [] if record_steps else None
+    h = _goal_heuristic(grid.goal, model) if use_heuristic else lambda cell: 0.0
+    inf = float("inf")
 
-    h0 = heuristic(grid.agent, goal_cell, model) if use_heuristic else 0.0
-    # entry: (f, h, cell, flat index, g at push) -- ties resolve on h then cell
-    frontier = [(h0, h0, grid.agent, start_idx, 0.0)]
+    h0 = h(grid.agent)
+    # entry: (f, h, flat index, g at push, cell) -- ties resolve on h, then on
+    # the flat index, which orders in-bounds cells as their tuples do
+    frontier = [(h0, h0, start_idx, 0.0, grid.agent)]
     frontier_peak = 1
     found = False
 
     while frontier:
-        f, h, cell, idx, g_here = heappop(frontier)
+        f, _h, idx, g_here, cell = heappop(frontier)
         if idx in closed:
             continue
         closed.add(idx)
@@ -115,22 +142,23 @@ def _heap_search(
                 continue
             nidx = idx + delta
             ng = g_here + cost
-            if ng < g_cost.get(nidx, float("inf")):
+            if ng < g_cost.get(nidx, inf):
                 g_cost[nidx] = ng
                 parent[nidx] = idx
-                ncell = tuple(c + d for c, d in zip(cell, vec))
-                nh = heuristic(ncell, goal_cell, model) if use_heuristic else 0.0
-                heappush(frontier, (ng + nh, nh, ncell, nidx, ng))
+                ncell = tuple(map(int.__add__, cell, vec))  # cells and vectors hold ints
+                nh = h(ncell)
+                heappush(frontier, (ng + nh, nh, nidx, ng, ncell))
                 if len(frontier) > frontier_peak:
                     frontier_peak = len(frontier)
 
     elapsed = time.perf_counter() - t0
-    explored = {fg.to_cell(i) for i in closed}
     memory = (
         frontier_peak * HEAP_ENTRY_BYTES
         + (len(g_cost) + len(parent)) * DICT_ENTRY_BYTES
         + len(closed) * SET_ENTRY_BYTES
     )
+    del frontier, g_cost  # freed before the explored set is built: it sets the peak
+    explored = {fg.to_cell(i) for i in closed}
     trace = SearchTrace(explored=explored, frontier_peak=frontier_peak, step_log=step_log)
     if not found:
         return PlanOutcome(

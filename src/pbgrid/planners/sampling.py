@@ -13,7 +13,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -335,6 +334,11 @@ def _sampler_prelude(grid: GridMap, params: SamplerParams):
     return rng, free
 
 
+def _draw_cell(rng: np.random.Generator, free: np.ndarray) -> Cell:
+    """One uniform draw from the free cells, as a tuple of ints."""
+    return tuple(free[rng.integers(len(free))].tolist())
+
+
 def _trivial(grid: GridMap, t0: float) -> PlanOutcome:
     return PlanOutcome(
         success=True,
@@ -406,7 +410,7 @@ def _rrt_family(grid: GridMap, model: MoveModel, params: SamplerParams, nearest:
         if params.goal_bias > 0.0 and rng.random() < params.goal_bias:
             sample = goal
         else:
-            sample = tuple(int(c) for c in free[rng.integers(len(free))])
+            sample = _draw_cell(rng, free)
         base = tree.nearest(sample) if nearest else int(rng.integers(tree.size))
         walked = _steer_walk(fg, tree.nodes[base], sample, params.step_cells, orthogonal)
         if len(walked) < 2 or walked[-1] in tree.ids:
@@ -512,7 +516,7 @@ def d_rrt_connect(grid: GridMap, model: MoveModel, params: SamplerParams = Sampl
         if rng.random() < params.goal_bias:
             sample = target_root[id(a)]
         else:
-            sample = tuple(int(c) for c in free[rng.integers(len(free))])
+            sample = _draw_cell(rng, free)
         base = a.nearest(sample)
         walked = _steer_walk(fg, a.nodes[base], sample, params.step_cells, orthogonal)
         if len(walked) < 2:
@@ -608,7 +612,7 @@ def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerP
         if params.goal_bias > 0.0 and rng.random() < params.goal_bias:
             sample = goal
         else:
-            sample = tuple(int(c) for c in free[rng.integers(len(free))])
+            sample = _draw_cell(rng, free)
         base = tree.nearest(sample)
         walked = _steer_walk(fg, tree.nodes[base], sample, params.step_cells, orthogonal)
         if len(walked) < 2 or walked[-1] in tree.ids:
@@ -722,10 +726,62 @@ def _roadmap_edges(coords: np.ndarray, occ: np.ndarray, radius: float, orthogona
     return i[order], j[order]
 
 
+def _roadmap_query(coords: np.ndarray, extent, edges_i: np.ndarray, edges_j: np.ndarray):
+    """Fewest-edges search of the roadmap from node 0 (the agent) to node 1
+    (the goal), one breadth-first level at a time.
+
+    Its outcome is that of a heap search keyed (hops, cell, id) that stops
+    when the goal pops. With unit weights that heap pops one level at a time,
+    each level in cell order, and the goal's level only up to the goal, which
+    pops but is not expanded. A node's parent is the first popped node that
+    reaches it: a level's edges run in pop order, each adjacency row
+    ascending, and one ``np.minimum.at`` keeps each node's first edge. No
+    entry goes stale, so every node is pushed at most once, and after the
+    i-th pop (from 0) and its pushes the heap holds (pushes so far) - i.
+    Returns (parent, frontier_peak, found).
+    """
+    n = len(coords)
+    # CSR adjacency in both directions. (i, j) is sorted with i < j, so a
+    # stable sort by source puts each row's lower neighbours (the reversed
+    # half, placed first) before its higher ones: every row is ascending.
+    src = np.concatenate((edges_j, edges_i))
+    adjacent = np.concatenate((edges_i, edges_j))[np.argsort(src, kind="stable")]
+    row_start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=row_start[1:])
+    # row-major flat indices order in-bounds cells as their tuples do
+    rank = coords @ _row_major_strides(extent)
+
+    first = np.full(n, adjacent.size, dtype=np.int64)  # above every edge id
+    first[0] = -1  # reached nodes hold -1, so they never take a later edge
+    parent = np.zeros(n, dtype=np.int64)
+    level = np.zeros(1, dtype=np.int64)
+    pushes = []
+    found = False
+    while level.size and not found:
+        goal_at = np.flatnonzero(level == 1)
+        if goal_at.size:
+            found = True
+            level = level[: goal_at[0]]
+        start = row_start[level]
+        counts = row_start[level + 1] - start
+        edge = np.arange(counts.sum())
+        to = adjacent[np.repeat(start + counts - np.cumsum(counts), counts) + edge]
+        np.minimum.at(first, to, edge)
+        new = first[to] == edge
+        by = np.repeat(np.arange(level.size), counts)[new]  # pop position of each push
+        child = to[new]
+        first[child] = -1
+        parent[child] = level[by]
+        pushes.append(np.bincount(by, minlength=level.size))
+        level = child[np.argsort(rank[child], kind="stable")]
+    pushed = np.cumsum(np.concatenate(pushes))
+    return parent, max(1, int((pushed - np.arange(pushed.size)).max())), found
+
+
 def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParams()) -> PlanOutcome:
     """Simple PRM: sample prm_nodes free cells plus start/goal, connect pairs
-    within prm_radius whose discrete line is free, answer with Dijkstra over
-    the roadmap.
+    within prm_radius whose discrete line is free, answer with a fewest-edges
+    search of the roadmap.
 
     Candidate pairs come from an integer offset stencil (every offset within
     prm_radius, looked up in a grid of node ids), not from an N x N distance
@@ -738,7 +794,11 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
     the answer is a fewest-edges route, not a shortest-cells route, and the
     reported cost comes from the cells actually walked. With nodes everywhere
     and radius one step the two weightings coincide, so the planner still
-    collapses to plain graph search in the dense limit.
+    collapses to plain graph search in the dense limit. The search runs one
+    breadth-first level at a time over a CSR adjacency (_roadmap_query) and
+    gives exactly the outcome of a Dijkstra heap search at unit weights,
+    ties broken by node cell; its frontier_peak is that heap's peak,
+    computed from the pushes rather than held.
     """
     t0 = time.perf_counter()
     rng, free = _sampler_prelude(grid, params)
@@ -747,43 +807,17 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
     orthogonal = model.connectivity is Connectivity.ORTHOGONAL
 
     n_nodes = min(params.resolved_prm_nodes(grid), len(free))
-    picks = rng.choice(len(free), size=n_nodes, replace=False) if n_nodes else []
-    nodes: List[Cell] = [grid.agent, grid.goal]
-    seen = {grid.agent, grid.goal}
-    for i in picks:
-        cell = tuple(int(c) for c in free[i])
-        if cell not in seen:
-            seen.add(cell)
-            nodes.append(cell)
+    ends = np.array([grid.agent, grid.goal], dtype=np.int64)
+    coords = ends
+    if n_nodes:
+        # distinct rows of free, so only the agent and the goal can repeat
+        picked = free[rng.choice(len(free), size=n_nodes, replace=False)]
+        repeat = (picked[:, None, :] == ends).all(axis=2).any(axis=1)
+        coords = np.concatenate((ends, picked[~repeat]))
+    nodes: List[Cell] = list(map(tuple, coords.tolist()))
 
-    coords = np.asarray(nodes, dtype=np.int64)
-    # edges arrive sorted by (i, j), i < j, so every adjacency list is ascending
     edges_i, edges_j = _roadmap_edges(coords, grid.occupancy, params.prm_radius, orthogonal)
-    adj: List[List[int]] = [[] for _ in nodes]
-    for i, j in zip(edges_i.tolist(), edges_j.tolist()):
-        adj[i].append(j)
-        adj[j].append(i)
-
-    # Dijkstra over the roadmap at one hop per edge, ties broken by node cell
-    dist = {0: 0.0}
-    parent = {0: -1}
-    heap = [(0.0, nodes[0], 0)]
-    heap_peak = 1
-    done = set()
-    while heap:
-        d, _, i = heappop(heap)
-        if i in done:
-            continue
-        done.add(i)
-        if i == 1:  # goal node
-            break
-        for j in adj[i]:
-            nd = d + 1.0
-            if nd < dist.get(j, float("inf")):
-                dist[j] = nd
-                parent[j] = i
-                heappush(heap, (nd, nodes[j], j))
-                heap_peak = max(heap_peak, len(heap))
+    parent, frontier_peak, found = _roadmap_query(coords, grid.extent, edges_i, edges_j)
 
     explored = set(nodes)
     memory = (
@@ -793,8 +827,8 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
     )
     elapsed = time.perf_counter() - t0
     log = [(cell, -1.0, float(i)) for i, cell in enumerate(nodes)]
-    trace = SearchTrace(explored=explored, frontier_peak=heap_peak, step_log=log)
-    if 1 not in done:
+    trace = SearchTrace(explored=explored, frontier_peak=frontier_peak, step_log=log)
+    if not found:
         return PlanOutcome(
             success=False,
             path=None,
@@ -806,7 +840,7 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
         )
     ids = [1]
     while ids[-1] != 0:
-        ids.append(parent[ids[-1]])
+        ids.append(int(parent[ids[-1]]))
     ids.reverse()
     cells: List[Cell] = [nodes[0]]
     for a, b in zip(ids, ids[1:]):

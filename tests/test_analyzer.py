@@ -381,6 +381,24 @@ def test_results_round_trip(tmp_path):
     assert back.meta["master_seed"] == 99
 
 
+def test_save_results_bytes_equal_asdict_rows(tmp_path):
+    # rows are written field by field; they must read as dataclasses.asdict
+    # rows do, None and non-finite floats included
+    runs = (
+        fake_run("p", True, dev=0.0),
+        fake_run("q", False, dist=math.inf, reason="unreachable", tag="lab"),
+        fake_run("r", True, dev=math.nan, time=-math.inf),
+        dataclasses.replace(fake_run("s", True), smoothness_deg=12.5, seed=2**63 - 1),
+    )
+    stats = AggregateStats(runs=runs, warnings=("w",), meta={"master_seed": 7})
+    path = tmp_path / "out.pbr1"
+    save_results(stats, str(path))
+    header = {"schema": RESULT_SCHEMA, "warnings": ["w"], "master_seed": 7}
+    lines = [json.dumps(header, sort_keys=True)]
+    lines += [json.dumps(dataclasses.asdict(run), sort_keys=True) for run in runs]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def test_load_rejects_wrong_schema(tmp_path):
     stats = AggregateStats(runs=(fake_run("p", True, dev=0.0),))
     path = tmp_path / "out.pbr1"

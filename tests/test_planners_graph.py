@@ -1,6 +1,7 @@
 import io
 import math
 from collections import deque
+from heapq import heappop, heappush
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from pbgrid.mapgen import GenConfig, MapType, generate, place_agent_goal
 from pbgrid.mapio import load_map
 from pbgrid.planners import resolve_planner
 from pbgrid.planners.base import (
+    DICT_ENTRY_BYTES,
     HEAP_ENTRY_BYTES,
+    SET_ENTRY_BYTES,
     UNREACHABLE,
     WAVE_CELL_BYTES,
     PlanOutcome,
@@ -28,6 +31,7 @@ from pbgrid.planners.base import (
 )
 from pbgrid.planners.graph import (
     _descent_order,
+    _goal_heuristic,
     _heap_search,
     _require_endpoints,
     _trivial_outcome,
@@ -200,6 +204,75 @@ def deque_wavefront(grid, model, record_steps=False):
     return PlanOutcome(True, Path.from_cells(cells), trace, 0.0, memory, grid.goal)
 
 
+def sorted_heuristic(a, b, model):
+    """The heuristic as first written: per-axis gaps sorted descending."""
+    deltas = sorted((abs(x - y) for x, y in zip(a, b)), reverse=True)
+    if model.connectivity is Connectivity.ORTHOGONAL:
+        return float(sum(deltas))
+    if len(deltas) == 2:
+        d1, d2 = deltas
+        return (d1 - d2) + math.sqrt(2.0) * d2
+    d1, d2, d3 = deltas
+    return (d1 - d2) + math.sqrt(2.0) * (d2 - d3) + math.sqrt(3.0) * d3
+
+
+def cell_keyed_heap_search(grid, model, use_heuristic, record_steps):
+    """The heap search as first written, one cell at a time: entries keyed
+    (f, h, cell, flat index, g), the heuristic recomputed from sorted gaps on
+    every push. The oracle for _heap_search."""
+    _require_endpoints(grid)
+    if grid.agent == grid.goal:
+        return _trivial_outcome(grid, 0.0)
+
+    fg = FlatGrid(grid, model)
+    start_idx, goal_idx = fg.agent, fg.goal
+    g_cost = {start_idx: 0.0}
+    parent = {}
+    closed = set()
+    step_log = [] if record_steps else None
+    h0 = sorted_heuristic(grid.agent, grid.goal, model) if use_heuristic else 0.0
+    frontier = [(h0, h0, grid.agent, start_idx, 0.0)]
+    frontier_peak = 1
+    found = False
+    while frontier:
+        f, h, cell, idx, g_here = heappop(frontier)
+        if idx in closed:
+            continue
+        closed.add(idx)
+        if record_steps:
+            step_log.append((cell, f, g_here))
+        if idx == goal_idx:
+            found = True
+            break
+        for delta, legal, cost, vec in fg.moves:
+            if not legal[idx]:
+                continue
+            nidx = idx + delta
+            ng = g_here + cost
+            if ng < g_cost.get(nidx, float("inf")):
+                g_cost[nidx] = ng
+                parent[nidx] = idx
+                ncell = tuple(c + d for c, d in zip(cell, vec))
+                nh = sorted_heuristic(ncell, grid.goal, model) if use_heuristic else 0.0
+                heappush(frontier, (ng + nh, nh, ncell, nidx, ng))
+                frontier_peak = max(frontier_peak, len(frontier))
+
+    memory = (
+        frontier_peak * HEAP_ENTRY_BYTES
+        + (len(g_cost) + len(parent)) * DICT_ENTRY_BYTES
+        + len(closed) * SET_ENTRY_BYTES
+    )
+    explored = {fg.to_cell(i) for i in closed}
+    trace = SearchTrace(explored=explored, frontier_peak=frontier_peak, step_log=step_log)
+    if not found:
+        return PlanOutcome(False, None, trace, 0.0, memory, grid.agent, UNREACHABLE)
+    chain = [goal_idx]
+    while chain[-1] != start_idx:
+        chain.append(parent[chain[-1]])
+    cells = [fg.to_cell(i) for i in reversed(chain)]
+    return PlanOutcome(True, Path.from_cells(cells), trace, 0.0, memory, grid.goal)
+
+
 def outcome_fields(out):
     """Every PlanOutcome field but the wall time."""
     t = out.trace
@@ -251,6 +324,21 @@ def test_heuristic_admissible_against_dijkstra():
             continue
         assert heuristic(g.agent, g.goal, FULL) <= out.path.cost + 1e-9
         checked += 1
+
+
+@pytest.mark.parametrize("model", [FULL, ORTH], ids=["full", "orthogonal"])
+@pytest.mark.parametrize("dims", [2, 3])
+def test_goal_heuristic_equals_heuristic_on_every_cell(dims, model):
+    rng = np.random.default_rng(43 + dims)
+    for _ in range(4):
+        g = random_instance(rng, size=12 if dims == 2 else 7, fill=0.3, dims=dims)
+        cells = list(np.ndindex(g.extent))
+        for goal in (g.goal, g.agent, cells[-1]):
+            bound = _goal_heuristic(goal, model)
+            for cell in cells:
+                value = bound(cell)
+                assert type(value) is float
+                assert value == heuristic(cell, goal, model) == sorted_heuristic(cell, goal, model)
 
 
 # --- astar / dijkstra --------------------------------------------------------
@@ -523,6 +611,42 @@ def test_search_outcomes_match_oracles_at_band_edges():
     cube[1, 1:3, :] = True
     for goal in ((0, 0, 3), (3, 3, 3), (2, 0, 2)):
         assert_matches_oracles(GridMap(cube, agent=(0, 0, 0), goal=goal), FULL)
+
+
+def assert_heap_search_matches_oracle(grid, model):
+    for use_heuristic in (True, False):
+        for record_steps in (False, True):
+            assert outcome_fields(_heap_search(grid, model, use_heuristic, record_steps)) == (
+                outcome_fields(cell_keyed_heap_search(grid, model, use_heuristic, record_steps))
+            )
+
+
+@pytest.mark.parametrize("model", [FULL, ORTH], ids=["full", "orthogonal"])
+@pytest.mark.parametrize("dims", [2, 3])
+def test_heap_search_matches_cell_keyed_oracle(dims, model):
+    extent = (20, 20) if dims == 2 else (10, 10, 10)
+    rooms = {} if dims == 2 else {"min_room_range": (3, 4), "max_room_range": (6, 8)}
+    for map_type in MapType:
+        base = generate(GenConfig(map_type=map_type, extent=extent, seed=3, **rooms))
+        for draw in range(2):
+            assert_heap_search_matches_oracle(place_agent_goal(base, np.random.default_rng(draw)), model)
+    # empty maps, where f and h tie most often, with goals near and far
+    rng = np.random.default_rng(47 + dims)
+    for size in (2, 5, 9):
+        empty = np.zeros((size,) * dims, dtype=bool)
+        cells = list(np.ndindex(empty.shape))
+        for _ in range(3):
+            a, b = rng.choice(len(cells), size=2, replace=False)
+            assert_heap_search_matches_oracle(GridMap(empty, agent=cells[a], goal=cells[b]), model)
+    unreachable = 0
+    for fill in (0.45, 0.6):
+        for _ in range(6):
+            g = random_instance(rng, size=9 if dims == 2 else 5, fill=fill, dims=dims)
+            if g is None:
+                continue
+            assert_heap_search_matches_oracle(g, model)
+            unreachable += not _heap_search(g, model, True, False).success
+    assert unreachable >= 2  # the exhausted-search branch ran
 
 
 def test_registry_record_steps_reaches_graph_planners():

@@ -16,6 +16,7 @@ from pbgrid.grid import (
     Path,
     _row_major_strides,
     _shoulder_vectors,
+    neighbors,
     validate_path,
 )
 from pbgrid.planners.base import (
@@ -705,6 +706,28 @@ def _border_instance(rng, dims, size, fill):
     return GridMap(occ, agent=tuple(border[picks[0]]), goal=tuple(border[picks[1]]))
 
 
+def random_instance_nd(rng, dims, size, fill):
+    while True:
+        occ = rng.random((size,) * dims) < fill
+        free = np.argwhere(~occ)
+        if len(free) >= 2:
+            picks = rng.choice(len(free), size=2, replace=False)
+            return GridMap(occ, agent=tuple(free[picks[0]]), goal=tuple(free[picks[1]]))
+
+
+def assert_sprm_matches_brute(grid, model, params):
+    got, want = d_sprm(grid, model, params), _brute_sprm(grid, model, params)
+    assert got.success == want.success
+    assert got.failure_reason == want.failure_reason
+    assert (got.path and got.path.cells) == (want.path and want.path.cells)
+    assert got.trace.explored == want.trace.explored
+    assert got.trace.step_log == want.trace.step_log
+    assert got.trace.frontier_peak == want.trace.frontier_peak
+    assert got.peak_memory_bytes == want.peak_memory_bytes
+    assert got.terminal_cell == want.terminal_cell
+    return got
+
+
 RADII = (1.0, math.sqrt(2.0), math.sqrt(3.0), 2.5, 4.0, 8.0)
 
 
@@ -721,16 +744,46 @@ def test_sprm_matches_brute_force_roadmap(dims, size, connectivity):
             if g is None:
                 continue
             p = SamplerParams(seed=compared, prm_nodes=g.free_count // share, prm_radius=radius)
-            got, want = d_sprm(g, model, p), _brute_sprm(g, model, p)
-            assert got.success == want.success
-            assert got.failure_reason == want.failure_reason
-            assert (got.path and got.path.cells) == (want.path and want.path.cells)
-            assert got.trace.explored == want.trace.explored
-            assert got.trace.step_log == want.trace.step_log
-            assert got.trace.frontier_peak == want.trace.frontier_peak
-            assert got.peak_memory_bytes == want.peak_memory_bytes
+            assert_sprm_matches_brute(g, model, p)
             compared += 1
     assert compared >= 15
+
+
+@pytest.mark.parametrize("dims,size", [(2, 10), (3, 6)])
+@pytest.mark.parametrize("connectivity", list(Connectivity))
+def test_sprm_matches_brute_force_at_first_and_last_level(dims, size, connectivity):
+    # cases where the query's first level (the agent's) or last level (the
+    # goal's) is easy to get wrong
+    model = MoveModel(connectivity)
+    rng = np.random.default_rng(71 + dims)
+    outcomes = []
+    for trial in range(6):
+        g = random_instance_nd(rng, dims, size, fill=0.2)
+        free = g.free_count
+        cases = [
+            (g, 0, 8.0),  # the roadmap is the agent and the goal alone
+            (g, 1, 8.0),
+            (g, 1, 1.0),
+            (g, free // 4, math.inf),
+            (g, free, 1.0),  # every free cell a node, radius one step
+            (g, free, math.sqrt(dims)),
+        ]
+        for cell, _ in neighbors(g, g.agent, model):  # the goal one step away
+            cases.append((g.with_endpoints(g.agent, cell), free // 3, 2.0))
+            cases.append((g.with_endpoints(g.agent, cell), 0, 1.0))
+            break
+        # the goal walled in: the agent's component is searched to the end
+        occ = g.occupancy.copy()
+        occ[tuple(slice(max(c - 1, 0), c + 2) for c in g.goal)] = True
+        occ[g.goal] = False
+        if not occ[g.agent]:
+            walled = GridMap(occ, agent=g.agent, goal=g.goal)
+            cases += [(walled, walled.free_count, 1.5), (walled, walled.free_count // 2, 4.0)]
+        for grid, nodes, radius in cases:
+            p = SamplerParams(seed=trial, prm_nodes=nodes, prm_radius=radius)
+            outcomes.append(assert_sprm_matches_brute(grid, model, p))
+    assert any(out.success for out in outcomes)
+    assert any(out.failure_reason == "roadmap_disconnected" for out in outcomes)
 
 
 @pytest.mark.parametrize("block", [None, 3])
