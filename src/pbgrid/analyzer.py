@@ -26,11 +26,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from pbgrid.grid import GridMap, MoveModel, distance_transform, euclidean_distance
+from pbgrid.grid import GridMap, MoveModel, distance_transform
 from pbgrid.mapgen import ConfigError, GenConfig, generate, place_agent_goal
 from pbgrid.mapio import ParseError, load_native, parse_movingai
 from pbgrid.metrics import compute_report
 from pbgrid.planners import PlannerEntry, astar, resolve_planner
+from pbgrid.planners.base import SearchTrace, build_outcome
 
 RESULT_SCHEMA = "pbr1"
 
@@ -349,34 +350,6 @@ def _materialize_maps(spec: BenchmarkSpec) -> Tuple[List[_MapInstance], List[str
     return instances, warnings
 
 
-def _crash_record(
-    spec: BenchmarkSpec,
-    inst: _MapInstance,
-    placed: GridMap,
-    planner: str,
-    seed: int,
-    exc: Exception,
-) -> RunRecord:
-    return RunRecord(
-        planner=planner,
-        map_id=inst.map_id,
-        map_type=inst.map_type,
-        hardware_tag=spec.hardware_tag,
-        seed=seed,
-        success=False,
-        path_length_cells=None,
-        path_cell_count=None,
-        distance_left_cells=euclidean_distance(placed.agent, placed.goal),
-        time_seconds=0.0,
-        path_deviation_pct=None,
-        search_space_pct=0.0,
-        peak_memory_mb=0.0,
-        obstacle_clearance_cells=None,
-        smoothness_deg=None,
-        failure_reason=f"error:{type(exc).__name__}",
-    )
-
-
 def _run_unit(
     spec: BenchmarkSpec,
     inst: _MapInstance,
@@ -404,8 +377,10 @@ def _run_unit(
                 elapsed = min(elapsed, repeat.elapsed_seconds)
             report = compute_report(outcome, baseline, placed, dist_field)
         except Exception as exc:  # crash wall: one bad run never aborts a sweep
-            records.append(_crash_record(spec, inst, placed, entry.name, seed, exc))
-            continue
+            trace = SearchTrace(explored=set())
+            outcome = build_outcome(placed, None, trace, 0.0, 0, f"error:{type(exc).__name__}")
+            elapsed = 0.0
+            report = compute_report(outcome, baseline, placed, dist_field)
         records.append(
             RunRecord(
                 planner=entry.name,

@@ -109,6 +109,15 @@ def _split_csv(text: str) -> List[str]:
     return [tok for tok in items if tok and tok.lower() != "none"]
 
 
+def _plot_kinds(text: str) -> List[str]:
+    """The plot kinds a comma list names, checked before any work is done."""
+    kinds = _split_csv(text)
+    unknown = set(kinds) - set(PLOT_KINDS)
+    if unknown:
+        raise UsageError(f"unknown plot kinds: {sorted(unknown)}")
+    return kinds
+
+
 def _coerce_param(entry: PlannerEntry, key: str, raw: object) -> object:
     from pbgrid.planners import _PARAM_ALIASES  # single source for the alias table
 
@@ -373,6 +382,7 @@ def cmd_benchmark(ns, overrides) -> int:
         raise UsageError("--planners must name at least one planner")
     entries = [_resolve_or_usage(name) for name in planner_names]
     typed = _typed_overrides(overrides, entries)
+    kinds = _plot_kinds(ns.plots)
     planner_cfgs = tuple(
         PlannerConfig(entry.name, typed.get(entry.name, {})) for entry in entries
     )
@@ -427,13 +437,8 @@ def cmd_benchmark(ns, overrides) -> int:
     result_path = out_dir / "results.pbr1"
     save_results(stats, str(result_path))
     written = emit_report(stats, str(out_dir))
-    kinds = _split_csv(ns.plots)
     if kinds:
-        unknown = set(kinds) - set(PLOT_KINDS)
-        if unknown:
-            raise UsageError(f"unknown plot kinds: {sorted(unknown)}")
-        plot_files = emit_plots(stats, str(out_dir), kinds=kinds)
-        written.update(plot_files)
+        written.update(emit_plots(stats, str(out_dir), kinds=kinds))
     sys.stdout.write(render_text_table(stats))
     print(f"results: {result_path}")
     for kind in sorted(written):
@@ -467,12 +472,9 @@ def cmd_plot(ns, overrides) -> int:
     if overrides:
         raise UsageError("per-planner parameters do not apply to plot")
     stats = merge_results(list(ns.results))
-    kinds = _split_csv(ns.kinds)
+    kinds = _plot_kinds(ns.kinds)
     if not kinds:
         raise UsageError("--kinds must name at least one plot kind")
-    unknown = set(kinds) - set(PLOT_KINDS)
-    if unknown:
-        raise UsageError(f"unknown plot kinds: {sorted(unknown)}")
     written = emit_plots(
         stats,
         ns.out,

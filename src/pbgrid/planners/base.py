@@ -1,11 +1,18 @@
-"""Shared planner result types and the nominal memory-accounting scheme."""
+"""Shared planner result types, the start and end of every run, and the
+nominal memory-accounting scheme.
+
+Every planner starts with ``require_endpoints``, answers a run whose agent
+already stands on the goal with ``trivial_outcome``, and ends with one
+``build_outcome`` call; no other module builds a ``PlanOutcome``.
+"""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
-from pbgrid.grid import Cell, Path
+from pbgrid.grid import Cell, GridMap, MapError, Path
 
 # Failure reasons carried in PlanOutcome so the analyzer can histogram them.
 UNREACHABLE = "unreachable"            # complete search exhausted: no path exists
@@ -52,3 +59,34 @@ class PlanOutcome:
             raise ValueError("successful outcome cannot carry a failure reason")
         if self.elapsed_seconds < 0:
             raise ValueError("elapsed_seconds must be >= 0")
+
+
+def require_endpoints(grid: GridMap) -> None:
+    """Reject a map whose agent or goal is not placed."""
+    if grid.agent is None or grid.goal is None:
+        raise MapError("planner needs a map with agent and goal set")
+
+
+def build_outcome(
+    grid: GridMap,
+    cells: Optional[Iterable[Cell]],
+    trace: SearchTrace,
+    elapsed: float,
+    memory: int,
+    reason: Optional[str],
+    stop: Optional[Cell] = None,
+) -> PlanOutcome:
+    """The end of a run: a success along ``cells``, which ends on the goal,
+    or, when ``cells`` is None, a failure for ``reason`` whose terminal cell
+    is ``stop``, the agent's cell unless given."""
+    if cells is not None:
+        return PlanOutcome(True, Path.from_cells(cells), trace, elapsed, memory, grid.goal)
+    return PlanOutcome(False, None, trace, elapsed, memory, grid.agent if stop is None else stop, reason)
+
+
+def trivial_outcome(grid: GridMap, t0: float, record_steps: bool) -> PlanOutcome:
+    """The run whose agent already stands on the goal: the one-cell path,
+    nothing searched or held. Its step log is empty when the planner records
+    steps, and None when it does not."""
+    trace = SearchTrace(explored={grid.agent}, frontier_peak=0, step_log=[] if record_steps else None)
+    return build_outcome(grid, [grid.agent], trace, time.perf_counter() - t0, 0, None)

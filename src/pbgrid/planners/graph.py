@@ -9,10 +9,13 @@ as their tuples do.
 Dijkstra and the wavefront are numpy searches over FlatGrid's legality
 tables that settle a whole band of distance, or a whole breadth-first level,
 per step. Each returns exactly the outcome of the one-cell-at-a-time search
-it replaces (Dijkstra: the heap search with a zero heuristic; wavefront: a
+it replaces (Dijkstra: A*'s heap search with a zero heuristic; wavefront: a
 FIFO queue), path, explored set and step log included. Their frontier_peak
 and peak_memory_bytes are the nominal heap or queue counts of that search,
 computed from its pushes rather than held.
+
+Each planner starts and ends a run through ``planners.base``: a step log
+is kept only under ``record_steps``, the trivial run included.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ from pbgrid.grid import (
     DomainError,
     FlatGrid,
     GridMap,
-    MapError,
     MoveModel,
-    Path,
 )
 from pbgrid.planners.base import (
     DICT_ENTRY_BYTES,
@@ -41,6 +42,9 @@ from pbgrid.planners.base import (
     WAVE_CELL_BYTES,
     PlanOutcome,
     SearchTrace,
+    build_outcome,
+    require_endpoints,
+    trivial_outcome,
 )
 
 
@@ -82,32 +86,12 @@ def _goal_heuristic(goal, model: MoveModel):
     return voxel_octile
 
 
-def _require_endpoints(grid: GridMap):
-    if grid.agent is None or grid.goal is None:
-        raise MapError("planner needs a map with agent and goal set")
-
-
-def _trivial_outcome(grid: GridMap, elapsed: float) -> PlanOutcome:
-    return PlanOutcome(
-        success=True,
-        path=Path.from_cells([grid.agent]),
-        trace=SearchTrace(explored={grid.agent}, frontier_peak=0),
-        elapsed_seconds=elapsed,
-        peak_memory_bytes=0,
-        terminal_cell=grid.agent,
-    )
-
-
-def _heap_search(
-    grid: GridMap,
-    model: MoveModel,
-    use_heuristic: bool,
-    record_steps: bool,
-) -> PlanOutcome:
+def astar(grid: GridMap, model: MoveModel, record_steps: bool = False) -> PlanOutcome:
+    """Optimal A* under the octile/Manhattan heuristic."""
     t0 = time.perf_counter()
-    _require_endpoints(grid)
+    require_endpoints(grid)
     if grid.agent == grid.goal:
-        return _trivial_outcome(grid, time.perf_counter() - t0)
+        return trivial_outcome(grid, t0, record_steps)
 
     fg = FlatGrid(grid, model)
     moves = fg.moves
@@ -117,7 +101,7 @@ def _heap_search(
     parent = {}
     closed = set()
     step_log = [] if record_steps else None
-    h = _goal_heuristic(grid.goal, model) if use_heuristic else lambda cell: 0.0
+    h = _goal_heuristic(grid.goal, model)
     inf = float("inf")
 
     h0 = h(grid.agent)
@@ -160,33 +144,13 @@ def _heap_search(
     del frontier, g_cost  # freed before the explored set is built: it sets the peak
     explored = {fg.to_cell(i) for i in closed}
     trace = SearchTrace(explored=explored, frontier_peak=frontier_peak, step_log=step_log)
-    if not found:
-        return PlanOutcome(
-            success=False,
-            path=None,
-            trace=trace,
-            elapsed_seconds=elapsed,
-            peak_memory_bytes=memory,
-            terminal_cell=grid.agent,
-            failure_reason=UNREACHABLE,
-        )
-    chain = [goal_idx]
-    while chain[-1] != start_idx:
-        chain.append(parent[chain[-1]])
-    cells = [fg.to_cell(i) for i in reversed(chain)]
-    return PlanOutcome(
-        success=True,
-        path=Path.from_cells(cells),
-        trace=trace,
-        elapsed_seconds=elapsed,
-        peak_memory_bytes=memory,
-        terminal_cell=grid.goal,
-    )
-
-
-def astar(grid: GridMap, model: MoveModel, record_steps: bool = False) -> PlanOutcome:
-    """Optimal A* under the octile/Manhattan heuristic."""
-    return _heap_search(grid, model, use_heuristic=True, record_steps=record_steps)
+    cells = None
+    if found:
+        chain = [goal_idx]
+        while chain[-1] != start_idx:
+            chain.append(parent[chain[-1]])
+        cells = [fg.to_cell(i) for i in reversed(chain)]
+    return build_outcome(grid, cells, trace, elapsed, memory, UNREACHABLE)
 
 
 def dijkstra(grid: GridMap, model: MoveModel, record_steps: bool = False) -> PlanOutcome:
@@ -196,16 +160,16 @@ def dijkstra(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pla
     are final, every tentative distance in [k, k+1) is final too: a band is
     settled with one gather over the moves and one ``np.minimum.at``. The
     distances are the left-to-right float sums a heap search computes, and
-    the outcome is the one ``_heap_search`` gives with a zero heuristic:
+    the outcome is the one ``astar``'s heap search gives with a zero heuristic:
     the same pops in (distance, cell) order up to the goal, the same parents
     and the same pushes. ``frontier_peak`` and ``peak_memory_bytes`` are the
     nominal heap, dict and set counts of that search, computed from its
     pushes rather than held.
     """
     t0 = time.perf_counter()
-    _require_endpoints(grid)
+    require_endpoints(grid)
     if grid.agent == grid.goal:
-        return _trivial_outcome(grid, time.perf_counter() - t0)
+        return trivial_outcome(grid, t0, record_steps)
 
     fg = FlatGrid(grid, model)
     start_idx, goal_idx = fg.agent, fg.goal
@@ -259,29 +223,15 @@ def dijkstra(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pla
         g = dist[closed].tolist()
         step_log = list(zip(cells, g, g))
     trace = SearchTrace(explored=set(cells), frontier_peak=frontier_peak, step_log=step_log)
-    if not found:
-        return PlanOutcome(
-            success=False,
-            path=None,
-            trace=trace,
-            elapsed_seconds=elapsed,
-            peak_memory_bytes=memory,
-            terminal_cell=grid.agent,
-            failure_reason=UNREACHABLE,
-        )
-    parent = np.empty(fg.size, dtype=expanded.dtype)
-    parent[to[final]] = expanded[by[final]]
-    chain = [goal_idx]
-    while chain[-1] != start_idx:
-        chain.append(int(parent[chain[-1]]))
-    return PlanOutcome(
-        success=True,
-        path=Path.from_cells(fg.to_cells(np.array(chain[::-1]))),
-        trace=trace,
-        elapsed_seconds=elapsed,
-        peak_memory_bytes=memory,
-        terminal_cell=grid.goal,
-    )
+    route = None
+    if found:
+        parent = np.empty(fg.size, dtype=expanded.dtype)
+        parent[to[final]] = expanded[by[final]]
+        chain = [goal_idx]
+        while chain[-1] != start_idx:
+            chain.append(int(parent[chain[-1]]))
+        route = fg.to_cells(np.array(chain[::-1]))
+    return build_outcome(grid, route, trace, elapsed, memory, UNREACHABLE)
 
 
 def _move_arrays(fg: FlatGrid):
@@ -367,9 +317,9 @@ def wavefront(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pl
     computed from the per-parent child counts rather than held.
     """
     t0 = time.perf_counter()
-    _require_endpoints(grid)
+    require_endpoints(grid)
     if grid.agent == grid.goal:
-        return _trivial_outcome(grid, time.perf_counter() - t0)
+        return trivial_outcome(grid, t0, record_steps)
 
     fg = FlatGrid(grid, model)
     start_idx, goal_idx = fg.agent, fg.goal
@@ -412,45 +362,28 @@ def wavefront(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pl
     memory = len(wave) * WAVE_CELL_BYTES + queue_peak * HEAP_ENTRY_BYTES
     trace = SearchTrace(explored=set(cells), frontier_peak=queue_peak, step_log=step_log)
 
-    if wave[start_idx] < 0:
-        return PlanOutcome(
-            success=False,
-            path=None,
-            trace=trace,
-            elapsed_seconds=elapsed_expand,
-            peak_memory_bytes=memory,
-            terminal_cell=grid.agent,
-            failure_reason=UNREACHABLE,
-        )
-
-    order = _descent_order(fg)
-    cells = [grid.agent]
-    idx = start_idx
-    while idx != goal_idx:
-        best_idx = -1
-        best_wave = wave[idx]
-        best_vec = None
-        for delta, legal, _cost, vec in order:
-            nidx = idx + delta
-            if legal[idx] and 0 <= wave[nidx] < best_wave:
-                best_idx = nidx
-                best_wave = wave[nidx]
-                best_vec = vec
-                break  # order is cost-sorted; first strictly lower wave wins
-        if best_idx < 0:  # cannot happen: BFS parent always qualifies
-            raise AssertionError("wavefront descent lost the gradient")
-        idx = best_idx
-        cells.append(tuple(c + d for c, d in zip(cells[-1], best_vec)))
-
-    elapsed = time.perf_counter() - t0
-    return PlanOutcome(
-        success=True,
-        path=Path.from_cells(cells),
-        trace=trace,
-        elapsed_seconds=elapsed,
-        peak_memory_bytes=memory,
-        terminal_cell=grid.goal,
-    )
+    route, elapsed = None, elapsed_expand
+    if wave[start_idx] >= 0:
+        order = _descent_order(fg)
+        route = [grid.agent]
+        idx = start_idx
+        while idx != goal_idx:
+            best_idx = -1
+            best_wave = wave[idx]
+            best_vec = None
+            for delta, legal, _cost, vec in order:
+                nidx = idx + delta
+                if legal[idx] and 0 <= wave[nidx] < best_wave:
+                    best_idx = nidx
+                    best_wave = wave[nidx]
+                    best_vec = vec
+                    break  # order is cost-sorted; first strictly lower wave wins
+            if best_idx < 0:  # cannot happen: BFS parent always qualifies
+                raise AssertionError("wavefront descent lost the gradient")
+            idx = best_idx
+            route.append(tuple(c + d for c, d in zip(route[-1], best_vec)))
+        elapsed = time.perf_counter() - t0
+    return build_outcome(grid, route, trace, elapsed, memory, UNREACHABLE)
 
 
 def dump_trace(outcome: PlanOutcome, stream) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..grid import (
     Cell,
@@ -21,7 +21,6 @@ from ..grid import (
     FlatGrid,
     GridMap,
     MoveModel,
-    Path,
     distance_transform,
     euclidean_distance,
 )
@@ -34,8 +33,10 @@ from .base import (
     WAVE_CELL_BYTES,
     PlanOutcome,
     SearchTrace,
+    build_outcome,
+    require_endpoints,
+    trivial_outcome,
 )
-from .graph import _require_endpoints, _trivial_outcome
 from .sampling import discrete_line
 
 _PROGRESS_EPS = 1e-12
@@ -66,25 +67,6 @@ def _step_ok(fg: FlatGrid, pos: Cell, delta: Cell) -> bool:
     return fg.step[delta][1][fg.to_flat(pos)] == 1
 
 
-def _slide(
-    fg: FlatGrid,
-    pos: Cell,
-    heading: int,
-    ring: Tuple[Cell, ...],
-    quarter: int,
-    left: bool,
-) -> Tuple[Optional[Cell], int]:
-    """One wall-following move: prefer the sharpest turn toward the wall
-    side, falling back through progressively straighter options."""
-    n = len(ring)
-    for k in range(n):
-        cand = (heading + quarter - k) % n if left else (heading - quarter + k) % n
-        delta = ring[cand]
-        if _step_ok(fg, pos, delta):
-            return tuple(p + d for p, d in zip(pos, delta)), cand
-    return None, heading
-
-
 def _walk_outcome(
     grid: GridMap,
     log: List[Tuple[Cell, float, float]],
@@ -98,25 +80,91 @@ def _walk_outcome(
         explored={c for c, _, _ in log}, frontier_peak=0, step_log=log
     )
     memory = len(log) * WAVE_CELL_BYTES + extra_bytes
-    if failure is None:
-        cells = tuple(c for c, _, _ in log)
-        return PlanOutcome(
-            success=True,
-            path=Path.from_cells(cells),
-            trace=trace,
-            elapsed_seconds=elapsed,
-            peak_memory_bytes=memory,
-            terminal_cell=pos,
-        )
-    return PlanOutcome(
-        success=False,
-        path=None,
-        trace=trace,
-        elapsed_seconds=elapsed,
-        peak_memory_bytes=memory,
-        terminal_cell=pos,
-        failure_reason=failure,
-    )
+    cells = None if failure is not None else [c for c, _, _ in log]
+    return build_outcome(grid, cells, trace, elapsed, memory, failure, stop=pos)
+
+
+class _BugWalk:
+    """What bug1 and bug2 share: the checks, the step limit, the clock, the
+    walk log, straight-line pursuit and wall-following moves.
+
+    Built before the clock starts; ``start`` sets up the walk itself and is
+    not called for a trivial run.
+    """
+
+    def __init__(self, grid: GridMap, step_limit: Optional[int]):
+        require_endpoints(grid)
+        _require_flat(grid)
+        if step_limit is not None and step_limit <= 0:
+            raise ValueError("step_limit must be positive")
+        self.grid = grid
+        self.limit = 10 * grid.free_count if step_limit is None else step_limit
+        self.t0 = time.perf_counter()
+
+    def start(self, model: MoveModel, follow_left: bool) -> None:
+        self.fg = FlatGrid(self.grid, model)
+        self.ring, self.ring_index = _heading_ring(model)
+        self.quarter = len(self.ring) // 4
+        self.follow_left = follow_left
+        self.orthogonal = model.connectivity is Connectivity.ORTHOGONAL
+        self.goal = self.grid.goal
+        self.pos = self.grid.agent
+        self.log: List[Tuple[Cell, float, float]] = [
+            (self.pos, euclidean_distance(self.pos, self.goal), MOTION_TO_GOAL)
+        ]
+        self.steps = 0
+        self.failure: Optional[str] = None
+
+    @property
+    def over(self) -> bool:
+        """The walk reached the goal or failed."""
+        return self.pos == self.goal or self.failure is not None
+
+    def step(self, cell: Cell, mode: float) -> float:
+        """Move to ``cell`` and log it; returns its distance to the goal.
+        The step that uses up the limit short of the goal fails the walk."""
+        self.pos = cell
+        self.steps += 1
+        d = euclidean_distance(cell, self.goal)
+        self.log.append((cell, d, mode))
+        if cell != self.goal and self.steps >= self.limit:
+            self.failure = STEP_LIMIT
+        return d
+
+    def pursue(self, line: Sequence[Cell], i: int) -> Tuple[int, int]:
+        """Walk ``line`` on from its ``i``-th cell until a move is blocked or
+        the walk is over. Returns the index reached and the heading that
+        starts wall following, which means nothing once the walk is over."""
+        while i + 1 < len(line) and self.failure is None:  # the line ends on the goal
+            move = tuple(b - a for a, b in zip(line[i], line[i + 1]))
+            if not _step_ok(self.fg, line[i], move):
+                blocked = self.ring_index[move]
+                turn = -self.quarter if self.follow_left else self.quarter
+                return i, (blocked + turn) % len(self.ring)
+            i += 1
+            self.step(line[i], MOTION_TO_GOAL)
+        return i, 0
+
+    def slide(self, heading: int) -> Tuple[float, int]:
+        """One wall-following move: prefer the sharpest turn toward the wall
+        side, falling back through progressively straighter options. Returns
+        the new cell's goal distance and heading; with nowhere to move the
+        walk fails as unreachable."""
+        n = len(self.ring)
+        for k in range(n):
+            if self.follow_left:
+                cand = (heading + self.quarter - k) % n
+            else:
+                cand = (heading - self.quarter + k) % n
+            delta = self.ring[cand]
+            if _step_ok(self.fg, self.pos, delta):
+                cell = tuple(p + d for p, d in zip(self.pos, delta))
+                return self.step(cell, BOUNDARY_FOLLOW), cand
+        self.failure = UNREACHABLE
+        return math.inf, heading
+
+    def outcome(self, extra_bytes: int) -> PlanOutcome:
+        return _walk_outcome(self.grid, self.log, self.failure, self.pos, self.t0, extra_bytes)
 
 
 def bug1(
@@ -132,100 +180,47 @@ def bug1(
     Fails as unreachable when a full circuit finds no boundary cell
     closer to the goal than the contact point.
     """
-    _require_endpoints(grid)
-    _require_flat(grid)
-    if step_limit is not None and step_limit <= 0:
-        raise ValueError("step_limit must be positive")
-    limit = 10 * grid.free_count if step_limit is None else step_limit
-    t0 = time.perf_counter()
+    walk = _BugWalk(grid, step_limit)
     if grid.agent == grid.goal:
-        return _trivial_outcome(grid, time.perf_counter() - t0)
-
-    fg = FlatGrid(grid, model)
-    ring, ring_index = _heading_ring(model)
-    quarter = len(ring) // 4
-    orth = model.connectivity is Connectivity.ORTHOGONAL
-    goal = grid.goal
-    pos = grid.agent
-    log: List[Tuple[Cell, float, float]] = [
-        (pos, euclidean_distance(pos, goal), MOTION_TO_GOAL)
-    ]
-    steps = 0
+        return trivial_outcome(grid, walk.t0, True)
+    walk.start(model, follow_left)
     peak_states = 0
-    failure: Optional[str] = None
 
-    while pos != goal and failure is None:
+    while not walk.over:
         # Straight-line pursuit until something blocks the next cell.
-        line = discrete_line(pos, goal, orthogonal=orth)
-        i = 0
-        blocked: Optional[int] = None
-        while i + 1 < len(line):
-            move = tuple(b - a for a, b in zip(line[i], line[i + 1]))
-            if not _step_ok(fg, line[i], move):
-                blocked = ring_index[move]
-                break
-            i += 1
-            pos = line[i]
-            steps += 1
-            log.append((pos, euclidean_distance(pos, goal), MOTION_TO_GOAL))
-            if pos != goal and steps >= limit:
-                failure = STEP_LIMIT
-                break
-        if failure is not None or pos == goal:
+        line = discrete_line(walk.pos, walk.goal, orthogonal=walk.orthogonal)
+        _, heading = walk.pursue(line, 0)
+        if walk.over:
             break
-        if blocked is None:
-            break  # line walked to its end, pos == goal
 
         # Full circumnavigation, remembering the closest boundary cell.
-        hit = pos
-        d_hit = euclidean_distance(hit, goal)
-        heading = (blocked - quarter) % len(ring) if follow_left else (
-            blocked + quarter
-        ) % len(ring)
-        episode = [pos]
+        d_hit = euclidean_distance(walk.pos, walk.goal)
+        episode = [walk.pos]
         best_idx, best_d = 0, d_hit
-        seen: Set[Tuple[Cell, int]] = {(pos, heading)}
-        while failure is None:
-            nxt, heading = _slide(fg, pos, heading, ring, quarter, follow_left)
-            if nxt is None:
-                failure = UNREACHABLE  # nowhere to move at all
+        seen: Set[Tuple[Cell, int]] = {(walk.pos, heading)}
+        while True:
+            d, heading = walk.slide(heading)
+            if walk.over:
                 break
-            pos = nxt
-            steps += 1
-            d = euclidean_distance(pos, goal)
-            log.append((pos, d, BOUNDARY_FOLLOW))
-            episode.append(pos)
-            if pos == goal:
-                break
-            if steps >= limit:
-                failure = STEP_LIMIT
-                break
+            episode.append(walk.pos)
             if d < best_d - _PROGRESS_EPS:
                 best_idx, best_d = len(episode) - 1, d
-            if (pos, heading) in seen:
+            if (walk.pos, heading) in seen:
                 break  # circuit closed
-            seen.add((pos, heading))
+            seen.add((walk.pos, heading))
         peak_states = max(peak_states, len(seen))
-        if failure is not None or pos == goal:
+        if walk.over:
             break
 
         # Retrace our own steps back to the remembered closest cell.
         for j in range(len(episode) - 2, best_idx - 1, -1):
-            pos = episode[j]
-            steps += 1
-            log.append((pos, euclidean_distance(pos, goal), BOUNDARY_FOLLOW))
-            if pos == goal:
+            walk.step(episode[j], BOUNDARY_FOLLOW)
+            if walk.over:
                 break
-            if steps >= limit:
-                failure = STEP_LIMIT
-                break
-        if failure is not None or pos == goal:
-            break
-        if best_d >= d_hit - _PROGRESS_EPS:
-            failure = UNREACHABLE  # circled the obstacle without progress
-            break
+        if not walk.over and best_d >= d_hit - _PROGRESS_EPS:
+            walk.failure = UNREACHABLE  # circled the obstacle without progress
 
-    return _walk_outcome(grid, log, failure, pos, t0, peak_states * SET_ENTRY_BYTES)
+    return walk.outcome(peak_states * SET_ENTRY_BYTES)
 
 
 def bug2(
@@ -242,80 +237,34 @@ def bug2(
     Fails as unreachable when boundary following returns to the contact
     point before finding such a cell.
     """
-    _require_endpoints(grid)
-    _require_flat(grid)
-    if step_limit is not None and step_limit <= 0:
-        raise ValueError("step_limit must be positive")
-    limit = 10 * grid.free_count if step_limit is None else step_limit
-    t0 = time.perf_counter()
+    walk = _BugWalk(grid, step_limit)
     if grid.agent == grid.goal:
-        return _trivial_outcome(grid, time.perf_counter() - t0)
-
-    fg = FlatGrid(grid, model)
-    ring, ring_index = _heading_ring(model)
-    quarter = len(ring) // 4
-    orth = model.connectivity is Connectivity.ORTHOGONAL
-    goal = grid.goal
-    pos = grid.agent
-    line = discrete_line(pos, goal, orthogonal=orth)
+        return trivial_outcome(grid, walk.t0, True)
+    walk.start(model, follow_left)
+    line = discrete_line(walk.pos, walk.goal, orthogonal=walk.orthogonal)
     index_of = {c: i for i, c in enumerate(line)}
     i = 0
-    log: List[Tuple[Cell, float, float]] = [
-        (pos, euclidean_distance(pos, goal), MOTION_TO_GOAL)
-    ]
-    steps = 0
-    failure: Optional[str] = None
 
-    while pos != goal and failure is None:
-        blocked: Optional[int] = None
-        while i + 1 < len(line):
-            move = tuple(b - a for a, b in zip(line[i], line[i + 1]))
-            if not _step_ok(fg, line[i], move):
-                blocked = ring_index[move]
-                break
-            i += 1
-            pos = line[i]
-            steps += 1
-            log.append((pos, euclidean_distance(pos, goal), MOTION_TO_GOAL))
-            if pos != goal and steps >= limit:
-                failure = STEP_LIMIT
-                break
-        if failure is not None or pos == goal:
+    while not walk.over:
+        i, heading = walk.pursue(line, i)
+        if walk.over:
             break
-        if blocked is None:
-            break
-
-        hit = pos
-        d_hit = euclidean_distance(hit, goal)
-        heading = (blocked - quarter) % len(ring) if follow_left else (
-            blocked + quarter
-        ) % len(ring)
-        while failure is None:
-            nxt, heading = _slide(fg, pos, heading, ring, quarter, follow_left)
-            if nxt is None:
-                failure = UNREACHABLE
+        hit = walk.pos
+        d_hit = euclidean_distance(hit, walk.goal)
+        while True:
+            d, heading = walk.slide(heading)
+            if walk.over:
                 break
-            pos = nxt
-            steps += 1
-            d = euclidean_distance(pos, goal)
-            log.append((pos, d, BOUNDARY_FOLLOW))
-            if pos == goal:
-                break
-            if steps >= limit:
-                failure = STEP_LIMIT
-                break
-            j = index_of.get(pos)
+            j = index_of.get(walk.pos)
             if j is not None and d < d_hit - _PROGRESS_EPS:
                 i = j  # leave event: strictly closer cell on the line
                 break
-            if pos == hit:
-                failure = UNREACHABLE  # came all the way around
+            if walk.pos == hit:
+                walk.failure = UNREACHABLE  # came all the way around
                 break
         # loop back into line pursuit from index i
 
-    return _walk_outcome(
-        grid, log, failure, pos, t0, len(line) * DICT_ENTRY_BYTES
-    )
+    return walk.outcome(len(line) * DICT_ENTRY_BYTES)
 
 
 @dataclass(frozen=True)
@@ -353,12 +302,12 @@ def potential_field(
     Moves to the neighbor with the lowest potential as long as that is
     strictly below the current one; otherwise reports a local minimum.
     """
-    _require_endpoints(grid)
+    require_endpoints(grid)
     p = params if params is not None else PotentialParams()
     limit = 10 * grid.free_count if p.step_limit is None else p.step_limit
     t0 = time.perf_counter()
     if grid.agent == grid.goal:
-        return _trivial_outcome(grid, time.perf_counter() - t0)
+        return trivial_outcome(grid, t0, True)
 
     field = distance_transform(grid)
     goal = grid.goal

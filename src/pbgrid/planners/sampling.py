@@ -25,7 +25,6 @@ from pbgrid.grid import (
     GridMap,
     MapError,
     MoveModel,
-    Path,
     _row_major_strides,
     _shoulder_vectors,
 )
@@ -36,6 +35,9 @@ from pbgrid.planners.base import (
     TREE_NODE_BYTES,
     PlanOutcome,
     SearchTrace,
+    build_outcome,
+    require_endpoints,
+    trivial_outcome,
 )
 
 # Node x offset x probe lookups per block of the roadmap edge search: it bounds
@@ -327,8 +329,7 @@ def dump_tree(outcome: PlanOutcome, stream) -> int:
 
 
 def _sampler_prelude(grid: GridMap, params: SamplerParams):
-    if grid.agent is None or grid.goal is None:
-        raise MapError("planner needs a map with agent and goal set")
+    require_endpoints(grid)
     rng = np.random.Generator(np.random.PCG64(params.seed))
     free = grid.free_cells()
     return rng, free
@@ -337,17 +338,6 @@ def _sampler_prelude(grid: GridMap, params: SamplerParams):
 def _draw_cell(rng: np.random.Generator, free: np.ndarray) -> Cell:
     """One uniform draw from the free cells, as a tuple of ints."""
     return tuple(free[rng.integers(len(free))].tolist())
-
-
-def _trivial(grid: GridMap, t0: float) -> PlanOutcome:
-    return PlanOutcome(
-        success=True,
-        path=Path.from_cells([grid.agent]),
-        trace=SearchTrace(explored={grid.agent}, frontier_peak=0, step_log=[]),
-        elapsed_seconds=time.perf_counter() - t0,
-        peak_memory_bytes=0,
-        terminal_cell=grid.agent,
-    )
 
 
 def _goal_connect(fg: FlatGrid, cell: Cell, goal: Cell) -> bool:
@@ -361,7 +351,6 @@ def _tree_outcome(
     trees: Sequence[_Tree],
     goal_branch: Optional[List[Cell]],
     t0: float,
-    reason: Optional[str],
 ) -> PlanOutcome:
     explored = set()
     for tree in trees:
@@ -374,31 +363,14 @@ def _tree_outcome(
         explored=explored, frontier_peak=total_nodes, step_log=_tree_log(trees)
     )
     elapsed = time.perf_counter() - t0
-    if goal_branch is None:
-        return PlanOutcome(
-            success=False,
-            path=None,
-            trace=trace,
-            elapsed_seconds=elapsed,
-            peak_memory_bytes=memory,
-            terminal_cell=grid.agent,
-            failure_reason=reason,
-        )
-    return PlanOutcome(
-        success=True,
-        path=Path.from_cells(goal_branch),
-        trace=trace,
-        elapsed_seconds=elapsed,
-        peak_memory_bytes=memory,
-        terminal_cell=grid.goal,
-    )
+    return build_outcome(grid, goal_branch, trace, elapsed, memory, BUDGET_EXHAUSTED)
 
 
 def _rrt_family(grid: GridMap, model: MoveModel, params: SamplerParams, nearest: bool) -> PlanOutcome:
     t0 = time.perf_counter()
     rng, free = _sampler_prelude(grid, params)
     if grid.agent == grid.goal:
-        return _trivial(grid, t0)
+        return trivial_outcome(grid, t0, True)
     fg = FlatGrid(grid, model)
     orthogonal = model.connectivity is Connectivity.ORTHOGONAL
     goal = grid.goal
@@ -424,7 +396,7 @@ def _rrt_family(grid: GridMap, model: MoveModel, params: SamplerParams, nearest:
             break
 
     branch = tree.branch(goal_id) if goal_id is not None else None
-    return _tree_outcome(grid, [tree], branch, t0, None if branch else BUDGET_EXHAUSTED)
+    return _tree_outcome(grid, [tree], branch, t0)
 
 
 def d_rrt(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParams()) -> PlanOutcome:
@@ -499,7 +471,7 @@ def d_rrt_connect(grid: GridMap, model: MoveModel, params: SamplerParams = Sampl
     t0 = time.perf_counter()
     rng, free = _sampler_prelude(grid, params)
     if grid.agent == grid.goal:
-        return _trivial(grid, t0)
+        return trivial_outcome(grid, t0, True)
     fg = FlatGrid(grid, model)
     orthogonal = model.connectivity is Connectivity.ORTHOGONAL
     budget = params.resolved_max_samples(grid)
@@ -561,7 +533,7 @@ def d_rrt_connect(grid: GridMap, model: MoveModel, params: SamplerParams = Sampl
         branch = _erase_loops(fwd + back[1:])
         if len(branch) > 2:
             branch = _line_normalize(fg, branch, orthogonal)
-    return _tree_outcome(grid, trees, branch, t0, None if branch else BUDGET_EXHAUSTED)
+    return _tree_outcome(grid, trees, branch, t0)
 
 
 def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParams()) -> PlanOutcome:
@@ -582,7 +554,7 @@ def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerP
     t0 = time.perf_counter()
     rng, free = _sampler_prelude(grid, params)
     if grid.agent == grid.goal:
-        return _trivial(grid, t0)
+        return trivial_outcome(grid, t0, True)
     fg = FlatGrid(grid, model)
     flat = grid.occupancy.reshape(-1)
     strides = _row_major_strides(grid.extent)
@@ -663,7 +635,7 @@ def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerP
             children[new_id].append(gid)
 
     branch = tree.branch(tree.ids[goal]) if goal in tree.ids else None
-    return _tree_outcome(grid, [tree], branch, t0, None if branch else BUDGET_EXHAUSTED)
+    return _tree_outcome(grid, [tree], branch, t0)
 
 
 def _roadmap_edges(coords: np.ndarray, occ: np.ndarray, radius: float, orthogonal: bool):
@@ -803,7 +775,7 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
     t0 = time.perf_counter()
     rng, free = _sampler_prelude(grid, params)
     if grid.agent == grid.goal:
-        return _trivial(grid, t0)
+        return trivial_outcome(grid, t0, True)
     orthogonal = model.connectivity is Connectivity.ORTHOGONAL
 
     n_nodes = min(params.resolved_prm_nodes(grid), len(free))
@@ -828,30 +800,15 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
     elapsed = time.perf_counter() - t0
     log = [(cell, -1.0, float(i)) for i, cell in enumerate(nodes)]
     trace = SearchTrace(explored=explored, frontier_peak=frontier_peak, step_log=log)
-    if not found:
-        return PlanOutcome(
-            success=False,
-            path=None,
-            trace=trace,
-            elapsed_seconds=elapsed,
-            peak_memory_bytes=memory,
-            terminal_cell=grid.agent,
-            failure_reason=ROADMAP_DISCONNECTED,
-        )
-    ids = [1]
-    while ids[-1] != 0:
-        ids.append(int(parent[ids[-1]]))
-    ids.reverse()
-    cells: List[Cell] = [nodes[0]]
-    for a, b in zip(ids, ids[1:]):
-        lo, hi = sorted((nodes[a], nodes[b]))
-        line = discrete_line(lo, hi, orthogonal)
-        cells.extend(line[1:] if nodes[a] == lo else line[-2::-1])
-    return PlanOutcome(
-        success=True,
-        path=Path.from_cells(cells),
-        trace=trace,
-        elapsed_seconds=elapsed,
-        peak_memory_bytes=memory,
-        terminal_cell=grid.goal,
-    )
+    cells: Optional[List[Cell]] = None
+    if found:
+        ids = [1]
+        while ids[-1] != 0:
+            ids.append(int(parent[ids[-1]]))
+        ids.reverse()
+        cells = [nodes[0]]
+        for a, b in zip(ids, ids[1:]):
+            lo, hi = sorted((nodes[a], nodes[b]))
+            line = discrete_line(lo, hi, orthogonal)
+            cells.extend(line[1:] if nodes[a] == lo else line[-2::-1])
+    return build_outcome(grid, cells, trace, elapsed, memory, ROADMAP_DISCONNECTED)

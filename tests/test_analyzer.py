@@ -246,24 +246,47 @@ def test_timing_repeats_changes_only_time():
     assert strip_time(a.runs) == strip_time(b.runs)
 
 
-def test_crash_wall_records_failed_run():
-    # prm_radius below one cell cannot build edges, but a crash is simulated
-    # more directly: a bad override value raises inside the planner call.
+def test_crash_wall_records_failed_run(tmp_path):
+    # A bad override value raises inside the planner call. The map has two
+    # free cells, one step apart, so every draw puts the endpoints on them.
+    occ = np.ones((3, 3), dtype=bool)
+    occ[1, 1:] = False
+    path = tmp_path / "pair.map"
+    path.write_text(save_native(GridMap(occ)), encoding="utf-8")
     spec = small_spec(
         planners=(
             PlannerConfig("astar"),
             PlannerConfig("d-rrt", {"step_cells": 0}),
         ),
+        map_sources=(FileSource((str(path),)),),
+        runs_per_map=3,
     )
-    stats = simple_analysis(spec)
+    stats = complex_analysis(spec)
     bad = [r for r in stats.runs if r.planner == "d-rrt"]
-    assert len(bad) == 4
-    for run in bad:
-        assert not run.success
-        assert run.failure_reason == "error:ConfigError"
-        assert run.distance_left_cells > 0.0
+    map_id = "file-0-0000-pair"
+    assert bad == [
+        RunRecord(
+            planner="d-rrt",
+            map_id=map_id,
+            map_type="file",
+            hardware_tag=spec.hardware_tag,
+            seed=derive_seed(99, "run", map_id, run_idx, "d-rrt"),
+            success=False,
+            path_length_cells=None,
+            path_cell_count=None,
+            distance_left_cells=1.0,
+            time_seconds=0.0,
+            path_deviation_pct=None,
+            search_space_pct=0.0,
+            peak_memory_mb=0.0,
+            obstacle_clearance_cells=None,
+            smoothness_deg=None,
+            failure_reason="error:ConfigError",
+        )
+        for run_idx in range(3)
+    ]
     good = [r for r in stats.runs if r.planner == "astar"]
-    assert any(r.success for r in good)
+    assert all(r.success for r in good)
 
 
 def test_file_source_runs_and_skips_unparsable(tmp_path):

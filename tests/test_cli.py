@@ -146,6 +146,16 @@ def test_run_trace_writes_expansion_log(tmp_path, capsys):
     assert f"wrote {len(lines)} steps" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("planner", ["astar", "dijkstra", "wavefront", "bug1", "bug2", "potential-field"])
+def test_run_trace_when_start_is_goal(planner, tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    argv = ["run", FIXTURE, "--planner", planner, "--start", "1", "1", "--goal", "1", "1"]
+    assert main(argv + ["--trace", str(trace)]) == 0
+    assert trace.read_text() == ""
+    out = capsys.readouterr().out
+    assert "success: true" in out and "wrote 0 steps" in out
+
+
 def test_run_tree_only_for_samplers(tmp_path, capsys):
     rc = main(["run", FIXTURE, "--planner", "astar", "--tree", str(tmp_path / "t")])
     assert rc == 1
@@ -278,6 +288,13 @@ def test_benchmark_unknown_type_is_usage_error(tmp_path, capsys):
     rc = main(bench_args(tmp_path / "r", ["--types", "swamp"]))
     assert rc == 1
     assert "swamp" not in capsys.readouterr().out
+
+
+def test_benchmark_unknown_plot_kind_fails_before_the_sweep(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(bench_args(out, ["--plots", "bar,bogus"])) == 1
+    assert "bogus" in capsys.readouterr().err
+    assert not (out / "results.pbr1").exists()
 
 
 # ---------------------------------------------------------------------------

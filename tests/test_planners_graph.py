@@ -28,13 +28,11 @@ from pbgrid.planners.base import (
     WAVE_CELL_BYTES,
     PlanOutcome,
     SearchTrace,
+    require_endpoints,
 )
 from pbgrid.planners.graph import (
     _descent_order,
     _goal_heuristic,
-    _heap_search,
-    _require_endpoints,
-    _trivial_outcome,
     astar,
     dijkstra,
     dump_trace,
@@ -157,12 +155,18 @@ def random_instance(rng, size=8, fill=0.35, dims=2):
     return GridMap(occ, agent=tuple(free[picks[0]]), goal=tuple(free[picks[1]]))
 
 
+def trivial_run(grid, record_steps):
+    """The outcome of a run whose agent stands on the goal."""
+    trace = SearchTrace(explored={grid.agent}, frontier_peak=0, step_log=[] if record_steps else None)
+    return PlanOutcome(True, Path.from_cells([grid.agent]), trace, 0.0, 0, grid.agent)
+
+
 def deque_wavefront(grid, model, record_steps=False):
     """The wavefront planner as a FIFO queue, one cell at a time: the oracle
     for the level-at-a-time search, with the planner's own greedy descent."""
-    _require_endpoints(grid)
+    require_endpoints(grid)
     if grid.agent == grid.goal:
-        return _trivial_outcome(grid, 0.0)
+        return trivial_run(grid, record_steps)
 
     fg = FlatGrid(grid, model)
     start_idx, goal_idx = fg.agent, fg.goal
@@ -219,10 +223,11 @@ def sorted_heuristic(a, b, model):
 def cell_keyed_heap_search(grid, model, use_heuristic, record_steps):
     """The heap search as first written, one cell at a time: entries keyed
     (f, h, cell, flat index, g), the heuristic recomputed from sorted gaps on
-    every push. The oracle for _heap_search."""
-    _require_endpoints(grid)
+    every push. The oracle for astar (with the heuristic) and for dijkstra
+    (without it)."""
+    require_endpoints(grid)
     if grid.agent == grid.goal:
-        return _trivial_outcome(grid, 0.0)
+        return trivial_run(grid, record_steps)
 
     fg = FlatGrid(grid, model)
     start_idx, goal_idx = fg.agent, fg.goal
@@ -291,7 +296,7 @@ def outcome_fields(out):
 def assert_matches_oracles(grid, model):
     for record_steps in (False, True):
         assert outcome_fields(dijkstra(grid, model, record_steps)) == outcome_fields(
-            _heap_search(grid, model, use_heuristic=False, record_steps=record_steps)
+            cell_keyed_heap_search(grid, model, use_heuristic=False, record_steps=record_steps)
         )
         assert outcome_fields(wavefront(grid, model, record_steps)) == outcome_fields(
             deque_wavefront(grid, model, record_steps)
@@ -614,11 +619,10 @@ def test_search_outcomes_match_oracles_at_band_edges():
 
 
 def assert_heap_search_matches_oracle(grid, model):
-    for use_heuristic in (True, False):
-        for record_steps in (False, True):
-            assert outcome_fields(_heap_search(grid, model, use_heuristic, record_steps)) == (
-                outcome_fields(cell_keyed_heap_search(grid, model, use_heuristic, record_steps))
-            )
+    for record_steps in (False, True):
+        assert outcome_fields(astar(grid, model, record_steps)) == (
+            outcome_fields(cell_keyed_heap_search(grid, model, True, record_steps))
+        )
 
 
 @pytest.mark.parametrize("model", [FULL, ORTH], ids=["full", "orthogonal"])
@@ -645,7 +649,7 @@ def test_heap_search_matches_cell_keyed_oracle(dims, model):
             if g is None:
                 continue
             assert_heap_search_matches_oracle(g, model)
-            unreachable += not _heap_search(g, model, True, False).success
+            unreachable += not astar(g, model).success
     assert unreachable >= 2  # the exhausted-search branch ran
 
 
@@ -683,8 +687,8 @@ def test_cli_trace_equals_oracle_trace(tmp_path, capsys, connectivity):
     grid = load_map(U_TRAP)
     model = MoveModel(Connectivity(connectivity))
     oracles = {
-        "astar": lambda: _heap_search(grid, model, use_heuristic=True, record_steps=True),
-        "dijkstra": lambda: _heap_search(grid, model, use_heuristic=False, record_steps=True),
+        "astar": lambda: cell_keyed_heap_search(grid, model, use_heuristic=True, record_steps=True),
+        "dijkstra": lambda: cell_keyed_heap_search(grid, model, use_heuristic=False, record_steps=True),
         "wavefront": lambda: deque_wavefront(grid, model, record_steps=True),
     }
     for name, oracle in oracles.items():

@@ -20,7 +20,6 @@ from pbgrid.grid import (
     validate_path,
 )
 from pbgrid.planners.base import (
-    BUDGET_EXHAUSTED,
     DICT_ENTRY_BYTES,
     ROADMAP_DISCONNECTED,
     TREE_NODE_BYTES,
@@ -427,7 +426,7 @@ def _brute_rrt_star(grid, model, params):
             children[new_id].append(gid)
 
     branch = tree.branch(tree.ids[goal]) if goal in tree.ids else None
-    return _tree_outcome(grid, [tree], branch, 0.0, None if branch else BUDGET_EXHAUSTED)
+    return _tree_outcome(grid, [tree], branch, 0.0)
 
 
 def assert_same_outcome(got, want):

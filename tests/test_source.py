@@ -49,3 +49,16 @@ def test_cli_import_loads_no_sparse_graph_modules():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.split() == []
+
+
+def test_only_planner_base_builds_outcomes():
+    """Every run ends through planners/base.py: no other module calls PlanOutcome(...)."""
+    callers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "PlanOutcome":
+                    callers.add(path.relative_to(SRC).as_posix())
+    assert callers == {"pbgrid/planners/base.py"}
