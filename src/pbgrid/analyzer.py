@@ -21,17 +21,18 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path as FsPath
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from pbgrid.grid import GridMap, MoveModel, distance_transform
+from pbgrid.grid import DistanceField, GridMap, MoveModel, distance_transform
 from pbgrid.mapgen import ConfigError, GenConfig, generate, place_agent_goal
 from pbgrid.mapio import ParseError, load_native, parse_movingai
-from pbgrid.metrics import compute_report
+from pbgrid.metrics import MetricReport, compute_report
 from pbgrid.planners import PlannerEntry, astar, resolve_planner
-from pbgrid.planners.base import SearchTrace, build_outcome
+from pbgrid.planners.base import PlanOutcome, SearchTrace, build_outcome
 
 RESULT_SCHEMA = "pbr1"
 
@@ -54,9 +55,10 @@ REPORT_COLUMNS = (
 )
 
 
-# Which runs feed each aggregated metric.  Deviation and the path-shape
-# metrics only exist on successes; distance_left is only meaningful on
-# failures; the cost metrics exist on every run.
+# Which runs feed each aggregated metric; its keys are the metric names.
+# Deviation and the path-shape metrics only exist on successes;
+# distance_left is only meaningful on failures; the cost metrics exist on
+# every run.
 _METRIC_SOURCES = {
     "path_deviation_pct": "success",
     "path_length_cells": "success",
@@ -176,24 +178,15 @@ class BenchmarkSpec:
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    """One planner execution, flattened for the json-lines result file."""
+class RunRecord(MetricReport):
+    """One planner execution: its metric report plus the run's identity,
+    flattened for the json-lines result file."""
 
     planner: str
     map_id: str
     map_type: str
     hardware_tag: str
     seed: int
-    success: bool
-    path_length_cells: Optional[float]
-    path_cell_count: Optional[int]
-    distance_left_cells: float
-    time_seconds: float
-    path_deviation_pct: Optional[float]
-    search_space_pct: float
-    peak_memory_mb: float
-    obstacle_clearance_cells: Optional[float]
-    smoothness_deg: Optional[float]
     failure_reason: Optional[str]
 
 
@@ -243,12 +236,19 @@ class AggregateStats:
         object.__setattr__(self, "meta", dict(self.meta))
 
     def cells(self) -> Dict[Tuple[str, str, str], CellStats]:
-        """Per-(planner, map_type, hardware_tag) aggregation of the raw runs."""
+        """Per-(planner, map_type, hardware_tag) aggregation of the raw runs,
+        made once and ordered by map type, then planner, then hardware tag:
+        the one order of every report and plot."""
+        return self._cells
+
+    @cached_property
+    def _cells(self) -> Dict[Tuple[str, str, str], CellStats]:
         grouped: Dict[Tuple[str, str, str], List[RunRecord]] = {}
         for run in self.runs:
             grouped.setdefault((run.planner, run.map_type, run.hardware_tag), []).append(run)
         out: Dict[Tuple[str, str, str], CellStats] = {}
-        for key, runs in grouped.items():
+        for key in sorted(grouped, key=lambda k: (k[1], k[0], k[2])):
+            runs = grouped[key]
             samples: Dict[str, Tuple[float, ...]] = {}
             for metric, source in _METRIC_SOURCES.items():
                 values = []
@@ -279,9 +279,7 @@ class AggregateStats:
     def table_rows(self) -> List[Dict[str, object]]:
         """Report rows in pinned column order, sorted for stable output."""
         rows = []
-        cells = self.cells()
-        for key in sorted(cells, key=lambda k: (k[1], k[0], k[2])):
-            cell = cells[key]
+        for cell in self.cells().values():
             row: Dict[str, object] = {
                 "planner": cell.planner,
                 "map_type": cell.map_type,
@@ -350,6 +348,34 @@ def _materialize_maps(spec: BenchmarkSpec) -> Tuple[List[_MapInstance], List[str
     return instances, warnings
 
 
+def score_run(
+    entry: PlannerEntry,
+    grid: GridMap,
+    model: MoveModel,
+    seed: int,
+    overrides: Mapping[str, object],
+    baseline: PlanOutcome,
+    dist_field: DistanceField,
+    repeats: int = 1,
+    record_steps: bool = False,
+) -> Tuple[PlanOutcome, MetricReport]:
+    """Run one planner on a placed map and score it against the A*
+    ``baseline``: the one scoring rule of a sweep unit and of ``pbgrid run``.
+
+    An astar run with no overrides and no step log is the baseline itself.
+    With ``repeats`` > 1 the planner runs that many times in all, and the
+    report keeps the fastest time.
+    """
+    if entry.name == "astar" and not overrides and not record_steps:
+        outcome = baseline
+    else:
+        outcome = entry.run(grid, model, seed, overrides, record_steps=record_steps)
+    elapsed = outcome.elapsed_seconds
+    for _ in range(repeats - 1):
+        elapsed = min(elapsed, entry.run(grid, model, seed, overrides).elapsed_seconds)
+    return outcome, compute_report(outcome, baseline, grid, dist_field, elapsed)
+
+
 def _run_unit(
     spec: BenchmarkSpec,
     inst: _MapInstance,
@@ -367,19 +393,13 @@ def _run_unit(
     for planner_cfg, entry in entries:
         seed = derive_seed(spec.master_seed, "run", inst.map_id, run_idx, entry.name)
         try:
-            if entry.name == "astar" and not planner_cfg.overrides:
-                outcome = baseline
-            else:
-                outcome = entry.run(placed, spec.model, seed, planner_cfg.overrides)
-            elapsed = outcome.elapsed_seconds
-            for _ in range(spec.timing_repeats - 1):
-                repeat = entry.run(placed, spec.model, seed, planner_cfg.overrides)
-                elapsed = min(elapsed, repeat.elapsed_seconds)
-            report = compute_report(outcome, baseline, placed, dist_field)
+            outcome, report = score_run(
+                entry, placed, spec.model, seed, planner_cfg.overrides,
+                baseline, dist_field, spec.timing_repeats,
+            )
         except Exception as exc:  # crash wall: one bad run never aborts a sweep
             trace = SearchTrace(explored=set())
             outcome = build_outcome(placed, None, trace, 0.0, 0, f"error:{type(exc).__name__}")
-            elapsed = 0.0
             report = compute_report(outcome, baseline, placed, dist_field)
         records.append(
             RunRecord(
@@ -388,17 +408,8 @@ def _run_unit(
                 map_type=inst.map_type,
                 hardware_tag=spec.hardware_tag,
                 seed=seed,
-                success=report.success,
-                path_length_cells=report.path_length_cells,
-                path_cell_count=report.path_cell_count,
-                distance_left_cells=report.distance_left_cells,
-                time_seconds=elapsed,
-                path_deviation_pct=report.path_deviation_pct,
-                search_space_pct=report.search_space_pct,
-                peak_memory_mb=report.peak_memory_mb,
-                obstacle_clearance_cells=report.obstacle_clearance_cells,
-                smoothness_deg=report.smoothness_deg,
                 failure_reason=outcome.failure_reason,
+                **vars(report),
             )
         )
     return records
@@ -475,21 +486,25 @@ def load_results(path: str) -> AggregateStats:
         raise VersionError(
             f"{path}: result schema {schema!r} is not {RESULT_SCHEMA!r}"
         )
+    warnings = header.get("warnings", [])
+    if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
+        raise VersionError(f"{path}: header warnings are not a list of strings")
     runs = []
     for number, line in enumerate(lines[1:], start=2):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise VersionError(f"{path}: bad run row (line {number}): {exc}") from exc
+        if not isinstance(obj, dict):
+            raise VersionError(f"{path}: run row is not a JSON object (line {number})")
         missing = [f for f in _RUN_FIELDS if f not in obj]
         if missing:
             raise VersionError(
                 f"{path}: run row missing fields {missing} (line {number})"
             )
         runs.append(RunRecord(**{f: obj[f] for f in _RUN_FIELDS}))
-    warnings = tuple(header.get("warnings", ()))
     meta = {k: v for k, v in header.items() if k not in ("schema", "warnings")}
-    return AggregateStats(runs=tuple(runs), warnings=warnings, meta=meta)
+    return AggregateStats(runs=tuple(runs), warnings=tuple(warnings), meta=meta)
 
 
 def merge_results(paths: Sequence[str]) -> AggregateStats:
@@ -564,10 +579,8 @@ def emit_report(
 
     if "jsonl" in formats:
         jsonl_path = out_dir / "report.jsonl"
-        cells = stats.cells()
         lines = []
-        for row in rows:
-            cell = cells[(row["planner"], row["map_type"], row["hardware_tag"])]
+        for row, cell in zip(rows, stats.cells().values()):
             spread = {}
             for column, metric in _COLUMN_TO_METRIC.items():
                 st = cell.stats(metric)
@@ -587,9 +600,7 @@ def emit_report(
 
     samples_path = out_dir / "samples.tsv"
     sample_lines = ["planner\tmap_type\thardware_tag\tmetric\tvalues"]
-    cells = stats.cells()
-    for key in sorted(cells, key=lambda k: (k[1], k[0], k[2])):
-        cell = cells[key]
+    for cell in stats.cells().values():
         for metric in _METRIC_SOURCES:
             values = cell.samples.get(metric, ())
             if not values:

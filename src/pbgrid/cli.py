@@ -32,18 +32,22 @@ from pbgrid.analyzer import (
     PlannerConfig,
     RESULT_SCHEMA,
     VersionError,
+    _COLUMN_TO_METRIC,
+    _METRIC_SOURCES,
+    _format_cell,
     complex_analysis,
     derive_seed,
     emit_report,
     merge_results,
     render_text_table,
     save_results,
+    score_run,
     simple_analysis,
 )
 from pbgrid.grid import Connectivity, DomainError, GridMap, MapError, MoveModel, distance_transform
 from pbgrid.mapgen import ConfigError, GenConfig, MapType, generate, place_agent_goal
 from pbgrid.mapio import NATIVE_VERSION, ParseError, load_map, parse_movingai, save_native
-from pbgrid.metrics import InconsistencyError, MetricReport, compute_report
+from pbgrid.metrics import InconsistencyError, MetricReport
 from pbgrid.planners import PlannerEntry, dump_trace, dump_tree, resolve_planner
 from pbgrid.planners.graph import astar
 from pbgrid.plots import PLOT_KINDS, emit_plots
@@ -58,15 +62,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Friendly metric spellings for plot axes.
+# Friendly metric spellings for plot axes, report column names included.
 _METRIC_ALIASES = {
+    **_COLUMN_TO_METRIC,
     "deviation": "path_deviation_pct",
     "dev": "path_deviation_pct",
-    "path_dev_pct": "path_deviation_pct",
     "distance": "distance_left_cells",
-    "distance_left": "distance_left_cells",
     "time": "time_seconds",
-    "time_sec": "time_seconds",
     "length": "path_length_cells",
     "cells": "path_cell_count",
     "search": "search_space_pct",
@@ -75,17 +77,7 @@ _METRIC_ALIASES = {
     "smoothness": "smoothness_deg",
 }
 
-_METRIC_NAMES = (
-    "path_deviation_pct",
-    "distance_left_cells",
-    "time_seconds",
-    "path_length_cells",
-    "path_cell_count",
-    "search_space_pct",
-    "peak_memory_mb",
-    "obstacle_clearance_cells",
-    "smoothness_deg",
-)
+_METRIC_NAMES = tuple(_METRIC_SOURCES)
 
 
 def _metric_name(token: str) -> str:
@@ -118,19 +110,9 @@ def _plot_kinds(text: str) -> List[str]:
     return kinds
 
 
-def _coerce_param(entry: PlannerEntry, key: str, raw: object) -> object:
-    from pbgrid.planners import _PARAM_ALIASES  # single source for the alias table
-
-    key = _PARAM_ALIASES.get(key, key)
-    if key not in entry.params:
-        allowed = ", ".join(sorted(entry.params)) or "none"
-        raise UsageError(
-            f"planner {entry.name!r} does not accept parameter {key!r}"
-            f" (accepted: {allowed})"
-        )
+def _coerce_param(entry: PlannerEntry, key: str, raw: str) -> object:
+    """The typed value of ``--<planner>.<key> raw``; ``key`` is canonical."""
     typ = entry.params[key]
-    if not isinstance(raw, str):
-        return raw
     try:
         if typ is bool:
             lowered = raw.lower()
@@ -186,9 +168,8 @@ def _typed_overrides(
             )
         bucket = out.setdefault(entry.name, {})
         for key, value in params.items():
-            from pbgrid.planners import _PARAM_ALIASES
-
-            bucket[_PARAM_ALIASES.get(key, key)] = _coerce_param(entry, key, value)
+            key = entry.param_key(key)
+            bucket[key] = _coerce_param(entry, key, value)
     return out
 
 
@@ -244,9 +225,14 @@ def _apply_overlay(
     Returns dotted (per-planner) keys from the file for the override pipe.
     """
     provided = set()
+    options = parser._option_string_actions
     for tok in argv:
         if tok.startswith("--"):
-            provided.add(tok[2:].split("=", 1)[0].replace("-", "_"))
+            # as argparse reads it: the exact option, else its unique prefix
+            flag = tok.split("=", 1)[0]
+            matches = [flag] if flag in options else [o for o in options if o.startswith(flag)]
+            if len(matches) == 1:
+                provided.add(options[matches[0]].dest)
     dotted: Dict[str, Dict[str, str]] = {}
     flat: Dict[str, str] = {}
     for key, value in file_values.items():
@@ -275,18 +261,25 @@ def _model_from(ns) -> MoveModel:
     return MoveModel(conn)
 
 
+# The generator flags of `generate` and `benchmark`: flag dest -> GenConfig field.
+_GEN_FIELDS = {
+    "extent": "extent",
+    "fill": "fill_rate_range",
+    "obstacles": "obstacle_count_range",
+    "min_room": "min_room_range",
+    "max_room": "max_room_range",
+}
+
+
+def _gen_config(ns, map_type: MapType) -> GenConfig:
+    fields = {name: tuple(getattr(ns, dest)) for dest, name in _GEN_FIELDS.items()}
+    return GenConfig(map_type=map_type, seed=ns.seed, **fields)
+
+
 def cmd_generate(ns, overrides) -> int:
     if overrides:
         raise UsageError("per-planner parameters do not apply to generate")
-    base = GenConfig(
-        map_type=MapType(ns.type),
-        extent=tuple(ns.extent),
-        fill_rate_range=tuple(ns.fill),
-        obstacle_count_range=tuple(ns.obstacles),
-        min_room_range=tuple(ns.min_room),
-        max_room_range=tuple(ns.max_room),
-        seed=ns.seed,
-    )
+    base = _gen_config(ns, MapType(ns.type))
     out_dir = FsPath(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -301,11 +294,7 @@ def cmd_generate(ns, overrides) -> int:
         "map_format": NATIVE_VERSION,
         "type": ns.type,
         "count": ns.count,
-        "extent": list(ns.extent),
-        "fill_rate_range": list(ns.fill),
-        "obstacle_count_range": list(ns.obstacles),
-        "min_room_range": list(ns.min_room),
-        "max_room_range": list(ns.max_room),
+        **{name: list(getattr(base, name)) for name in _GEN_FIELDS.values()},
         "seed": ns.seed,
         "files": files,
     }
@@ -323,16 +312,10 @@ _REPORT_PRINT_ORDER = tuple(f.name for f in dataclasses.fields(MetricReport))
 def _print_report(report: MetricReport) -> None:
     for name in _REPORT_PRINT_ORDER:
         value = getattr(report, name)
-        if value is None:
-            text = "-"
-        elif name == "path_deviation_pct":
+        if name == "path_deviation_pct" and value is not None:
             text = "%.2f" % value
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = "%.6g" % value
         else:
-            text = str(value)
+            text = _format_cell(value) or "-"
         print(f"{name}: {text}")
 
 
@@ -356,12 +339,11 @@ def cmd_run(ns, overrides) -> int:
         raise UsageError(f"{entry.name} records a sample tree; use --tree")
     if ns.tree and entry.kind != "sampling":
         raise UsageError("--tree only applies to the sampling planners")
-    outcome = entry.run(grid, model, ns.seed, typed, record_steps=bool(ns.trace))
-    if entry.name == "astar" and not typed:
-        baseline = outcome
-    else:
-        baseline = astar(grid, model)
-    report = compute_report(outcome, baseline, grid, distance_transform(grid))
+    baseline = astar(grid, model)
+    outcome, report = score_run(
+        entry, grid, model, ns.seed, typed, baseline, distance_transform(grid),
+        record_steps=bool(ns.trace),
+    )
     _print_report(report)
     if not outcome.success:
         print(f"failure_reason: {outcome.failure_reason}")
@@ -405,21 +387,7 @@ def cmd_benchmark(ns, overrides) -> int:
                 f"unknown map type in --types (choose from "
                 f"{', '.join(m.value for m in MapType)})"
             ) from exc
-        sources = tuple(
-            GeneratedSource(
-                GenConfig(
-                    map_type=t,
-                    extent=tuple(ns.extent),
-                    fill_rate_range=tuple(ns.fill),
-                    obstacle_count_range=tuple(ns.obstacles),
-                    min_room_range=tuple(ns.min_room),
-                    max_room_range=tuple(ns.max_room),
-                    seed=ns.seed,
-                ),
-                ns.n,
-            )
-            for t in types
-        )
+        sources = tuple(GeneratedSource(_gen_config(ns, t), ns.n) for t in types)
     spec = BenchmarkSpec(
         planners=planner_cfgs,
         map_sources=sources,
@@ -492,6 +460,15 @@ def cmd_plot(ns, overrides) -> int:
 # Parser wiring
 
 
+def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
+    """The five generator flags; ``_gen_config`` turns them into a GenConfig."""
+    sub.add_argument("--extent", type=int, nargs="+", default=[64, 64])
+    sub.add_argument("--fill", type=float, nargs=2, default=[0.1, 0.3], metavar=("LO", "HI"))
+    sub.add_argument("--obstacles", type=int, nargs=2, default=[1, 6], metavar=("LO", "HI"))
+    sub.add_argument("--min-room", type=int, nargs=2, default=[8, 15], metavar=("LO", "HI"))
+    sub.add_argument("--max-room", type=int, nargs=2, default=[35, 45], metavar=("LO", "HI"))
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="FILE", help="key = value overlay file")
     sub.add_argument(
@@ -510,11 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = subs.add_parser("generate", description="write native map files")
     gen.add_argument("--type", choices=[m.value for m in MapType], default="uniform")
     gen.add_argument("--count", type=int, default=1)
-    gen.add_argument("--extent", type=int, nargs="+", default=[64, 64])
-    gen.add_argument("--fill", type=float, nargs=2, default=[0.1, 0.3], metavar=("LO", "HI"))
-    gen.add_argument("--obstacles", type=int, nargs=2, default=[1, 6], metavar=("LO", "HI"))
-    gen.add_argument("--min-room", type=int, nargs=2, default=[8, 15], metavar=("LO", "HI"))
-    gen.add_argument("--max-room", type=int, nargs=2, default=[35, 45], metavar=("LO", "HI"))
+    _add_gen_flags(gen)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=".")
     _add_common(gen)
@@ -539,11 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--x", type=int, default=50, help="runs per map (complex)")
     bench.add_argument("--planners", default="astar,dijkstra,wavefront")
     bench.add_argument("--types", default="uniform,block,house")
-    bench.add_argument("--extent", type=int, nargs="+", default=[64, 64])
-    bench.add_argument("--fill", type=float, nargs=2, default=[0.1, 0.3], metavar=("LO", "HI"))
-    bench.add_argument("--obstacles", type=int, nargs=2, default=[1, 6], metavar=("LO", "HI"))
-    bench.add_argument("--min-room", type=int, nargs=2, default=[8, 15], metavar=("LO", "HI"))
-    bench.add_argument("--max-room", type=int, nargs=2, default=[35, 45], metavar=("LO", "HI"))
+    _add_gen_flags(bench)
     bench.add_argument("--maps", metavar="DIR", help="benchmark map files instead of generating")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--jobs", type=int, default=1)
@@ -610,10 +579,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     try:
         return _dispatch(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (MapError, DomainError) as exc:

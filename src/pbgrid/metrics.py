@@ -80,12 +80,15 @@ def compute_report(
     baseline: PlanOutcome,
     grid: GridMap,
     field: DistanceField,
+    elapsed: Optional[float] = None,
 ) -> MetricReport:
     """Assemble the full report for one run.
 
     ``baseline`` must be the optimal planner's outcome on the same map:
     a successful run against a failed baseline is a contradiction and
-    raises rather than producing a negative-deviation report.
+    raises rather than producing a negative-deviation report.  The time
+    is ``elapsed`` when given (the fastest of timed repeats), else the
+    outcome's own.
     """
     if outcome.success and not baseline.success:
         raise InconsistencyError(
@@ -110,7 +113,7 @@ def compute_report(
         path_length_cells=cost,
         path_cell_count=cell_count,
         distance_left_cells=distance_left,
-        time_seconds=outcome.elapsed_seconds,
+        time_seconds=outcome.elapsed_seconds if elapsed is None else elapsed,
         path_deviation_pct=deviation,
         search_space_pct=search_space_pct(outcome.trace, grid),
         peak_memory_mb=outcome.peak_memory_bytes / 2**20,

@@ -84,17 +84,20 @@ class PlannerEntry:
         """Run the planner. ``record_steps`` asks a graph planner for the
         expansion log that ``dump_trace`` writes; the local planners always
         log their walk and the samplers their tree."""
-        cleaned: Dict[str, object] = {}
-        for key, value in dict(overrides or {}).items():
-            key = _PARAM_ALIASES.get(key, key)
-            if key not in self.params:
-                allowed = ", ".join(sorted(self.params)) or "none"
-                raise ConfigError(
-                    f"planner {self.name!r} does not accept parameter {key!r}"
-                    f" (accepted: {allowed})"
-                )
-            cleaned[key] = value
+        cleaned = {self.param_key(key): value for key, value in dict(overrides or {}).items()}
         return self._call(grid, model, seed, cleaned, record_steps)
+
+    def param_key(self, key: str) -> str:
+        """The canonical name of override ``key`` (``step`` is ``step_cells``);
+        ConfigError when this planner does not accept it."""
+        key = _PARAM_ALIASES.get(key, key)
+        if key not in self.params:
+            allowed = ", ".join(sorted(self.params)) or "none"
+            raise ConfigError(
+                f"planner {self.name!r} does not accept parameter {key!r}"
+                f" (accepted: {allowed})"
+            )
+        return key
 
 
 def _graph_call(fn):

@@ -281,11 +281,12 @@ class PotentialParams:
     step_limit: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.k_att is not None and self.k_att <= 0:
+        # written so that NaN fails too
+        if self.k_att is not None and not self.k_att > 0:
             raise ValueError("k_att must be positive")
-        if self.k_rep < 0:
+        if not self.k_rep >= 0:
             raise ValueError("k_rep must be non-negative")
-        if self.influence_radius_cells <= 0:
+        if not self.influence_radius_cells > 0:
             raise ValueError("influence_radius_cells must be positive")
         if self.step_limit is not None and self.step_limit <= 0:
             raise ValueError("step_limit must be positive")

@@ -104,11 +104,6 @@ class _Canvas:
         return "\n".join([_comment(comment_lines)] + self.parts + ["</svg>"]) + "\n"
 
 
-def _sorted_cells(stats: AggregateStats) -> List[CellStats]:
-    cells = stats.cells()
-    return [cells[k] for k in sorted(cells, key=lambda k: (k[1], k[0], k[2]))]
-
-
 def _cell_label(cell: CellStats, show_tag: bool) -> List[str]:
     lines = [cell.planner, cell.map_type]
     if show_tag:
@@ -240,7 +235,7 @@ def _planner_index(cells: Sequence[CellStats]) -> Dict[str, int]:
 
 
 def _render_bar(stats: AggregateStats, metric: str) -> str:
-    cells = _sorted_cells(stats)
+    cells = list(stats.cells().values())
     show_tag = len({c.hardware_tag for c in cells}) > 1
     means = [c.mean(metric) for c in cells]
     present = [m for m in means if m is not None]
@@ -285,7 +280,7 @@ def _render_bar(stats: AggregateStats, metric: str) -> str:
 
 
 def _render_violin(stats: AggregateStats, metric: str) -> str:
-    cells = _sorted_cells(stats)
+    cells = list(stats.cells().values())
     show_tag = len({c.hardware_tag for c in cells}) > 1
     all_values = [v for c in cells for v in c.samples.get(metric, ())]
     lo = min(all_values) if all_values else 0.0
@@ -359,7 +354,7 @@ def _render_violin(stats: AggregateStats, metric: str) -> str:
 
 
 def _render_scatter(stats: AggregateStats, metric_x: str, metric_y: str) -> str:
-    cells = _sorted_cells(stats)
+    cells = list(stats.cells().values())
     tag_of = _tag_index(cells)
     planner_of = _planner_index(cells)
     points = []

@@ -442,6 +442,36 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text('{"schema": "pbr1"}\n{"planner": "x"}\n')
     with pytest.raises(VersionError):
         load_results(str(path))
+    # rows and headers that are JSON but of the wrong shape
+    for text in (
+        '{"schema": "pbr1", "warnings": []}\n5\n',
+        '{"schema": "pbr1"}\n["planner"]\n',
+        '{"schema": "pbr1", "warnings": 5}\n',
+        '{"schema": "pbr1", "warnings": "abc"}\n',
+        '5\n',
+    ):
+        path.write_text(text)
+        with pytest.raises(VersionError):
+            load_results(str(path))
+
+
+def test_cells_are_aggregated_once_in_report_order():
+    stats = AggregateStats(
+        runs=(
+            fake_run("b", True, dev=0.0, tag="lab"),
+            fake_run("a", True, dev=0.0, tag="lab"),
+            fake_run("b", True, dev=0.0, tag="desk"),
+        )
+    )
+    assert list(stats.cells()) == [
+        ("a", "uniform", "lab"),
+        ("b", "uniform", "desk"),
+        ("b", "uniform", "lab"),
+    ]
+    assert stats.cells() is stats.cells()
+    assert [(r["planner"], r["hardware_tag"]) for r in stats.table_rows()] == [
+        ("a", "lab"), ("b", "desk"), ("b", "lab"),
+    ]
 
 
 def test_merge_keeps_hardware_tags_separate(tmp_path):

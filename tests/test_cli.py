@@ -7,12 +7,15 @@ import subprocess
 import sys
 from pathlib import Path as FsPath
 
+import numpy as np
 import pytest
 
 import pbgrid
-from pbgrid.analyzer import RESULT_SCHEMA, load_results
-from pbgrid.cli import main
-from pbgrid.mapio import NATIVE_VERSION, load_native
+from pbgrid.analyzer import RESULT_SCHEMA, derive_seed, load_results
+from pbgrid.cli import _print_report, main
+from pbgrid.mapgen import place_agent_goal
+from pbgrid.mapio import NATIVE_VERSION, load_map, load_native
+from pbgrid.metrics import MetricReport
 from pbgrid.planners.base import PlanOutcome, SearchTrace
 
 FIXTURE = "tests/fixtures/metric_fixture.map"
@@ -111,6 +114,13 @@ def test_run_rejects_bad_radius(flag, value, capsys):
     assert "usage error: radii must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("param", ["k_att", "k_rep", "influence_radius_cells"])
+def test_run_rejects_nan_potential_params(param, capsys):
+    argv = ["run", "tests/fixtures/u_trap.map", "--planner", "potential-field"]
+    assert main(argv + [f"--potential-field.{param}", "nan"]) == 1
+    assert f"usage error: {param} must be" in capsys.readouterr().err
+
+
 def test_run_astar_prints_zero_deviation(capsys):
     assert main(["run", FIXTURE, "--planner", "astar"]) == 0
     out = capsys.readouterr().out
@@ -180,6 +190,42 @@ def test_run_rejects_unknown_planner_param(capsys):
     rc = main(["run", FIXTURE, "--planner", "rrt", "--rrt.warp", "2"])
     assert rc == 1
     assert "warp" in capsys.readouterr().err
+
+
+def _metric_lines(text):
+    """The printed metric lines of a run report, the time line left out."""
+    names = {f.name for f in dataclasses.fields(MetricReport)} - {"time_seconds"}
+    return [ln for ln in text.splitlines() if ln.split(":", 1)[0] in names]
+
+
+@pytest.mark.parametrize("planner", ["astar", "d-rrt", "bug2"])
+def test_run_scores_like_a_sweep(planner, tmp_path, capsys):
+    """`pbgrid run` with a sweep run's endpoints and planner seed reports
+    every metric but the time exactly as the sweep's record holds it."""
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    source = FsPath("tests/fixtures/u_trap.map")
+    (maps / source.name).write_bytes(source.read_bytes())
+    out = tmp_path / "res"
+    assert main(["benchmark", "--complex", "--x", "3", "--maps", str(maps),
+                 "--planners", planner, "--seed", "8", "--plots", "none",
+                 "--out", str(out)]) == 0
+    records = load_results(str(out / "results.pbr1")).runs
+    assert len(records) == 3
+    grid = load_map(str(source))
+    for run_idx, record in enumerate(records):
+        rng = np.random.default_rng(derive_seed(8, "endpoints", record.map_id, run_idx))
+        placed = place_agent_goal(grid, rng)
+        capsys.readouterr()
+        _print_report(record)
+        expected = _metric_lines(capsys.readouterr().out)
+        assert main(["run", str(source), "--planner", planner, "--seed", str(record.seed),
+                     "--start", *map(str, placed.agent),
+                     "--goal", *map(str, placed.goal)]) == 0
+        text = capsys.readouterr().out
+        assert _metric_lines(text) == expected
+        if not record.success:
+            assert f"failure_reason: {record.failure_reason}" in text
 
 
 def test_exit_code_three_on_internal_inconsistency(monkeypatch, capsys):
@@ -362,6 +408,22 @@ def test_plot_schema_mismatch_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"schema": "pbr1", "warnings": []}\n5\n',
+        '{"schema": "pbr1", "warnings": 5}\n',
+    ],
+    ids=["row-not-object", "warnings-not-list"],
+)
+def test_plot_malformed_result_file_is_data_error(text, tmp_path, capsys):
+    bad = tmp_path / "bad.pbr1"
+    bad.write_text(text)
+    rc = main(["plot", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_plot_unknown_metric_is_usage_error(tmp_path, capsys):
     res = tmp_path / "res"
     assert main(bench_args(res)) == 0
@@ -411,6 +473,16 @@ def test_environment_sits_below_config_file(tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path / "cfg")])
     assert rc == 0
     assert "master seed: 7" in capsys.readouterr().out
+
+
+def test_abbreviated_flag_wins_over_environment(monkeypatch, capsys):
+    monkeypatch.setenv("PBGRID_SEED", "7")
+    assert main(["run", FIXTURE, "--planner", "astar", "--se", "3"]) == 0
+    assert "seed: 3" in capsys.readouterr().out
+    assert main(["run", FIXTURE, "--planner", "astar", "--se=4"]) == 0
+    assert "seed: 4" in capsys.readouterr().out
+    assert main(["run", FIXTURE, "--planner", "astar"]) == 0
+    assert "seed: 7" in capsys.readouterr().out
 
 
 def test_config_file_dotted_planner_params(tmp_path):

@@ -62,3 +62,17 @@ def test_only_planner_base_builds_outcomes():
                 if name == "PlanOutcome":
                     callers.add(path.relative_to(SRC).as_posix())
     assert callers == {"pbgrid/planners/base.py"}
+
+
+def test_metric_report_fields_are_the_aggregated_metrics():
+    """The metric list is declared once: every MetricReport field but success
+    is a key of the analyzer's metric-source table, and the table has no other."""
+    metrics = ast.parse((SRC / "pbgrid" / "metrics.py").read_text())
+    report = next(n for n in metrics.body if isinstance(n, ast.ClassDef) and n.name == "MetricReport")
+    fields = {n.target.id for n in report.body if isinstance(n, ast.AnnAssign)} - {"success"}
+    analyzer = ast.parse((SRC / "pbgrid" / "analyzer.py").read_text())
+    table = next(
+        n.value for n in analyzer.body
+        if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "_METRIC_SOURCES"
+    )
+    assert fields == set(ast.literal_eval(table))
