@@ -23,7 +23,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path as FsPath
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -191,6 +192,16 @@ class RunRecord(MetricReport):
 
 
 _RUN_FIELDS = tuple(f.name for f in dataclasses.fields(RunRecord))
+
+
+def _json_types(hint) -> FrozenSet[type]:
+    """The JSON value types a result-row field annotated ``hint`` accepts:
+    floats also take ints, and ``Optional`` adds null."""
+    members = get_args(hint) or (hint,)
+    return frozenset(t for m in members for t in ((int, float) if m is float else (m,)))
+
+
+_RUN_TYPES = {name: _json_types(hint) for name, hint in get_type_hints(RunRecord).items()}
 
 
 @dataclass(frozen=True)
@@ -501,6 +512,12 @@ def load_results(path: str) -> AggregateStats:
         if missing:
             raise VersionError(
                 f"{path}: run row missing fields {missing} (line {number})"
+            )
+        # exact types: a JSON bool is no int, and no int is a bool
+        wrong = [f for f in _RUN_FIELDS if type(obj[f]) not in _RUN_TYPES[f]]
+        if wrong:
+            raise VersionError(
+                f"{path}: run row field {wrong[0]!r} has the wrong type (line {number})"
             )
         runs.append(RunRecord(**{f: obj[f] for f in _RUN_FIELDS}))
     meta = {k: v for k, v in header.items() if k not in ("schema", "warnings")}

@@ -1,6 +1,8 @@
 """Command-line front end: generate, run, benchmark, convert, plot.
 
-Flag precedence is flags > config file > environment > built-in defaults.
+Flag precedence is flags > config file > environment > built-in defaults:
+the file and environment values become the subcommand's option defaults
+(positionals never take them), so argparse lets every given flag win.
 A config file is plain ``key = value`` text (``#`` starts a comment); keys
 are long flag names of the chosen subcommand, and dotted keys such as
 ``rrt.step = 4`` set per-planner parameters exactly like ``--rrt.step 4``
@@ -110,27 +112,34 @@ def _plot_kinds(text: str) -> List[str]:
     return kinds
 
 
+def _parse_bool(raw: str) -> bool:
+    """A boolean word from a planner parameter, config file or environment."""
+    lowered = raw.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
 def _coerce_param(entry: PlannerEntry, key: str, raw: str) -> object:
     """The typed value of ``--<planner>.<key> raw``; ``key`` is canonical."""
     typ = entry.params[key]
     try:
-        if typ is bool:
-            lowered = raw.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return typ(raw)
+        return (_parse_bool if typ is bool else typ)(raw)
     except ValueError as exc:
         raise UsageError(
             f"bad value {raw!r} for --{entry.name}.{key} (expected {typ.__name__})"
         ) from exc
 
 
-def _extract_planner_overrides(argv: Sequence[str]) -> Tuple[Dict[str, Dict[str, str]], List[str]]:
+# A per-planner parameter as given: (planner token, parameter, raw value).
+_Override = Tuple[str, str, str]
+
+
+def _extract_planner_overrides(argv: Sequence[str]) -> Tuple[List[_Override], List[str]]:
     """Pull ``--<planner>.<param> value`` tokens out before argparse runs."""
-    raw: Dict[str, Dict[str, str]] = {}
+    raw: List[_Override] = []
     rest: List[str] = []
     i = 0
     while i < len(argv):
@@ -146,8 +155,7 @@ def _extract_planner_overrides(argv: Sequence[str]) -> Tuple[Dict[str, Dict[str,
                     raise UsageError(f"flag {tok} needs a value")
                 value = argv[i + 1]
                 i += 2
-            planner_token, param = key.split(".", 1)
-            raw.setdefault(planner_token, {})[param] = value
+            raw.append((*key.split(".", 1), value))
         else:
             rest.append(tok)
             i += 1
@@ -155,21 +163,20 @@ def _extract_planner_overrides(argv: Sequence[str]) -> Tuple[Dict[str, Dict[str,
 
 
 def _typed_overrides(
-    raw: Dict[str, Dict[str, str]], wanted: Sequence[PlannerEntry]
+    raw: Sequence[_Override], wanted: Sequence[PlannerEntry]
 ) -> Dict[str, Dict[str, object]]:
-    """Resolve planner tokens, pin keys, and coerce values per the registry."""
-    by_name = {entry.name: entry for entry in wanted}
+    """Resolve planner tokens, pin keys, and coerce values per the registry;
+    of two values for one parameter, however spelled, the later wins."""
+    names = {entry.name for entry in wanted}
     out: Dict[str, Dict[str, object]] = {}
-    for planner_token, params in raw.items():
+    for planner_token, key, value in raw:
         entry = _resolve_or_usage(planner_token)
-        if entry.name not in by_name:
+        if entry.name not in names:
             raise UsageError(
                 f"--{planner_token}.* given but planner {entry.name!r} is not selected"
             )
-        bucket = out.setdefault(entry.name, {})
-        for key, value in params.items():
-            key = entry.param_key(key)
-            bucket[key] = _coerce_param(entry, key, value)
+        key = entry.param_key(key)
+        out.setdefault(entry.name, {})[key] = _coerce_param(entry, key, value)
     return out
 
 
@@ -191,21 +198,13 @@ def load_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-def _env_overrides() -> Dict[str, str]:
-    out = {}
-    for key, value in os.environ.items():
-        if key.startswith("PBGRID_") and key != "PBGRID_":
-            out[key[len("PBGRID_"):].lower()] = value
-    return out
-
-
 def _coerce_flag(action: argparse.Action, raw: str) -> object:
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        return raw.lower() in ("1", "true", "yes", "on")
-    convert = action.type or str
+    convert = _parse_bool if action.nargs == 0 else (action.type or str)
     tokens = raw.replace(",", " ").split() if action.nargs in ("+", 2, 3) else None
     try:
         if tokens is not None:
+            if not tokens or action.nargs != "+" and len(tokens) != action.nargs:
+                raise ValueError(raw)
             return [convert(tok) for tok in tokens]
         if action.choices and raw not in action.choices:
             raise ValueError(raw)
@@ -214,41 +213,29 @@ def _coerce_flag(action: argparse.Action, raw: str) -> object:
         raise UsageError(f"bad config value {raw!r} for {action.dest}") from exc
 
 
-def _apply_overlay(
-    parser: argparse.ArgumentParser,
-    ns: argparse.Namespace,
-    argv: Sequence[str],
-    file_values: Dict[str, str],
-) -> Dict[str, Dict[str, str]]:
-    """Fill non-flag-provided options from file then environment.
+def _install_defaults(
+    sub: argparse.ArgumentParser, file_values: Dict[str, str]
+) -> List[_Override]:
+    """Make the file's values, else the environment's, the defaults of
+    ``sub``'s options, so that parsing the command line again lets every
+    given flag win.
 
-    Returns dotted (per-planner) keys from the file for the override pipe.
+    Positionals never take these values.  Returns the file's dotted
+    (per-planner) keys.
     """
-    provided = set()
-    options = parser._option_string_actions
-    for tok in argv:
-        if tok.startswith("--"):
-            # as argparse reads it: the exact option, else its unique prefix
-            flag = tok.split("=", 1)[0]
-            matches = [flag] if flag in options else [o for o in options if o.startswith(flag)]
-            if len(matches) == 1:
-                provided.add(options[matches[0]].dest)
-    dotted: Dict[str, Dict[str, str]] = {}
-    flat: Dict[str, str] = {}
+    dotted: List[_Override] = []
+    prefix = "PBGRID_"
+    merged = {k[len(prefix):].lower(): v for k, v in os.environ.items() if k.startswith(prefix)}
     for key, value in file_values.items():
         if "." in key:
-            planner_token, param = key.split(".", 1)
-            dotted.setdefault(planner_token, {})[param] = value
+            dotted.append((*key.split(".", 1), value))
         else:
-            flat[key.replace("-", "_")] = value
-    env = _env_overrides()
-    merged = {**env, **flat}  # file wins over environment
-    for action in parser._actions:
-        dest = action.dest
-        if dest in ("help", "==SUPPRESS==") or dest in provided:
-            continue
-        if dest in merged:
-            setattr(ns, dest, _coerce_flag(action, merged[dest]))
+            merged[key.replace("-", "_")] = value  # file wins over environment
+    sub.set_defaults(**{
+        action.dest: _coerce_flag(action, merged[action.dest])
+        for action in sub._actions
+        if action.option_strings and action.dest != "help" and action.dest in merged
+    })
     return dotted
 
 
@@ -321,6 +308,10 @@ def _print_report(report: MetricReport) -> None:
 
 def cmd_run(ns, overrides) -> int:
     entry = _resolve_or_usage(ns.planner)
+    if ns.trace and entry.kind == "sampling":
+        raise UsageError(f"{entry.name} records a sample tree; use --tree")
+    if ns.tree and entry.kind != "sampling":
+        raise UsageError("--tree only applies to the sampling planners")
     typed = _typed_overrides(overrides, [entry]).get(entry.name, {})
     grid = load_map(ns.map)
     model = _model_from(ns)
@@ -335,10 +326,6 @@ def cmd_run(ns, overrides) -> int:
     print(f"seed: {ns.seed}")
     print(f"agent: {' '.join(str(c) for c in grid.agent)}")
     print(f"goal: {' '.join(str(c) for c in grid.goal)}")
-    if ns.trace and entry.kind == "sampling":
-        raise UsageError(f"{entry.name} records a sample tree; use --tree")
-    if ns.tree and entry.kind != "sampling":
-        raise UsageError("--tree only applies to the sampling planners")
     baseline = astar(grid, model)
     outcome, report = score_run(
         entry, grid, model, ns.seed, typed, baseline, distance_transform(grid),
@@ -506,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subs.add_parser("benchmark", description="seeded sweep over maps and planners")
     mode = bench.add_mutually_exclusive_group()
-    mode.add_argument("--simple", action="store_true", default=True)
+    mode.add_argument("--simple", action="store_false", dest="complex", default=False)
     mode.add_argument("--complex", action="store_true", default=False)
     bench.add_argument("--n", type=int, default=10, help="maps per type")
     bench.add_argument("--x", type=int, default=50, help="runs per map (complex)")
@@ -555,7 +542,7 @@ def _dispatch(argv: List[str]) -> int:
             )
         )
         return 0
-    overrides, rest = _extract_planner_overrides(argv)
+    flag_overrides, rest = _extract_planner_overrides(argv)
     parser = build_parser()
     ns = parser.parse_args(rest)
     if not getattr(ns, "command", None):
@@ -565,13 +552,8 @@ def _dispatch(argv: List[str]) -> int:
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ).choices[ns.command]
     file_values = load_config_file(ns.config) if ns.config else {}
-    dotted = _apply_overlay(sub, ns, rest, file_values)
-    for planner_token, params in dotted.items():
-        bucket = overrides.setdefault(planner_token, {})
-        for key, value in params.items():
-            bucket.setdefault(key, value)  # flags win over the file
-    if getattr(ns, "complex", False):
-        ns.simple = False
+    overrides = _install_defaults(sub, file_values) + flag_overrides  # flags last: they win
+    ns = parser.parse_args(rest)
     return ns.func(ns, overrides)
 
 

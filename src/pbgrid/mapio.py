@@ -28,7 +28,7 @@ native version line's first word is native.
 from __future__ import annotations
 
 from pathlib import Path as FilePath
-from typing import List, Optional, Tuple, Union
+from typing import FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +38,18 @@ NATIVE_VERSION = "pbgrid v1"
 
 MOVINGAI_PASSABLE = frozenset(".GS")
 MOVINGAI_OBSTACLE = frozenset("@OTW")
+
+
+def _cell_table(
+    obstacle: FrozenSet[str], passable: FrozenSet[str]
+) -> Tuple[FrozenSet[str], bytes]:
+    """A format's cell characters, and the ``bytes.translate`` table that
+    maps each of them to 1 (obstacle) or 0 (free)."""
+    return obstacle | passable, bytes(chr(code) in obstacle for code in range(256))
+
+
+_NATIVE_CELLS = _cell_table(frozenset("#"), frozenset("."))
+_MOVINGAI_CELLS = _cell_table(MOVINGAI_OBSTACLE, MOVINGAI_PASSABLE)
 
 
 class ParseError(ValueError):
@@ -103,22 +115,42 @@ def _parse_endpoint(raw: str, name: str, dims: int, line: int) -> Optional[Cell]
     return _parse_ints(tokens[1:], dims, name, line)
 
 
+def _line(lines: List[str], idx: int, what: str) -> str:
+    """Line ``idx`` (0-based), or a ParseError naming what is missing."""
+    if idx >= len(lines):
+        raise ParseError(f"missing {what}", line=len(lines) + 1)
+    return lines[idx]
+
+
+def _read_rows(
+    lines: List[str], start: int, occ: np.ndarray, cells: Tuple[FrozenSet[str], bytes]
+) -> int:
+    """Decode the rows of the 2D ``occ`` from ``lines[start:]``, one
+    character per cell (see ``_cell_table``); returns the next line index."""
+    allowed, table = cells
+    rows, width = occ.shape
+    for idx in range(start, start + rows):
+        row = _line(lines, idx, "map row")
+        if len(row) != width:
+            raise ParseError(f"row has {len(row)} cells, expected {width}", line=idx + 1)
+        if not allowed.issuperset(row):
+            column, ch = next((c, ch) for c, ch in enumerate(row, 1) if ch not in allowed)
+            raise ParseError(f"unknown cell character {ch!r}", line=idx + 1, column=column)
+    body = "".join(lines[start:start + rows]).encode("latin-1").translate(table)
+    occ[...] = np.frombuffer(body, dtype=bool).reshape(rows, width)
+    return start + rows
+
+
 def load_native(text: Union[str, bytes]) -> GridMap:
     lines = _coerce_text(text).split("\n")
     if len(lines) < 2 or lines[-1] != "":
         raise ParseError("file must end with exactly one newline", line=len(lines))
     lines = lines[:-1]
-
-    def need(idx: int, what: str) -> str:
-        if idx >= len(lines):
-            raise ParseError(f"missing {what}", line=len(lines) + 1)
-        return lines[idx]
-
-    if need(0, "version line") != NATIVE_VERSION:
+    if _line(lines, 0, "version line") != NATIVE_VERSION:
         raise UnsupportedVersionError(
             f"expected version line '{NATIVE_VERSION}'", line=1
         )
-    dims_tokens = need(1, "dims line").split()
+    dims_tokens = _line(lines, 1, "dims line").split()
     if len(dims_tokens) != 2 or dims_tokens[0] != "dims":
         raise ParseError("expected 'dims D'", line=2)
     try:
@@ -128,41 +160,24 @@ def load_native(text: Union[str, bytes]) -> GridMap:
     if dims not in (2, 3):
         raise ParseError("dims must be 2 or 3", line=2)
 
-    extent_tokens = need(2, "extent line").split()
+    extent_tokens = _line(lines, 2, "extent line").split()
     if not extent_tokens or extent_tokens[0] != "extent":
         raise ParseError("expected 'extent ...'", line=3)
     extent = _parse_ints(extent_tokens[1:], dims, "extent", line=3)
     if any(e <= 0 for e in extent):
         raise ParseError("extent entries must be positive", line=3)
 
-    agent = _parse_endpoint(need(3, "agent line"), "agent", dims, line=4)
-    goal = _parse_endpoint(need(4, "goal line"), "goal", dims, line=5)
+    agent = _parse_endpoint(_line(lines, 3, "agent line"), "agent", dims, line=4)
+    goal = _parse_endpoint(_line(lines, 4, "goal line"), "goal", dims, line=5)
 
-    n_slices = 1 if dims == 2 else extent[0]
-    rows_per, row_len = (extent[0], extent[1]) if dims == 2 else (extent[1], extent[2])
     occ = np.zeros(extent, dtype=bool)
     idx = 5
-    for s in range(n_slices):
+    for s, block in enumerate(occ[np.newaxis] if dims == 2 else occ):
         if s:
-            sep = need(idx, "blank separator line")
-            if sep != "":
-                raise ParseError("expected a blank line between slices",
-                                 line=idx + 1)
+            if _line(lines, idx, "blank separator line") != "":
+                raise ParseError("expected a blank line between slices", line=idx + 1)
             idx += 1
-        for r in range(rows_per):
-            row = need(idx, "map row")
-            if len(row) != row_len:
-                raise ParseError(
-                    f"row has {len(row)} cells, expected {row_len}", line=idx + 1
-                )
-            for c, ch in enumerate(row):
-                if ch == "#":
-                    occ[(s, r, c) if dims == 3 else (r, c)] = True
-                elif ch != ".":
-                    raise ParseError(
-                        f"unknown cell character {ch!r}", line=idx + 1, column=c + 1
-                    )
-            idx += 1
+        idx = _read_rows(lines, idx, block, _NATIVE_CELLS)
     if idx != len(lines):
         raise ParseError("unexpected content after map rows", line=idx + 1)
 
@@ -179,18 +194,12 @@ def load_native(text: Union[str, bytes]) -> GridMap:
 def parse_movingai(text: Union[str, bytes]) -> GridMap:
     raw = _coerce_text(text).split("\n")
     lines = [ln[:-1] if ln.endswith("\r") else ln for ln in raw]
-
-    def need(idx: int, what: str) -> str:
-        if idx >= len(lines):
-            raise ParseError(f"missing {what}", line=len(lines) + 1)
-        return lines[idx]
-
-    head = need(0, "type line").split()
+    head = _line(lines, 0, "type line").split()
     if len(head) < 2 or head[0] != "type":
         raise ParseError("expected 'type <name>'", line=1)
 
     def header_int(idx: int, name: str) -> int:
-        tokens = need(idx, f"{name} line").split()
+        tokens = _line(lines, idx, f"{name} line").split()
         if len(tokens) != 2 or tokens[0] != name:
             raise ParseError(f"expected '{name} N'", line=idx + 1)
         try:
@@ -203,24 +212,11 @@ def parse_movingai(text: Union[str, bytes]) -> GridMap:
 
     height = header_int(1, "height")
     width = header_int(2, "width")
-    if need(3, "map marker").strip() != "map":
+    if _line(lines, 3, "map marker").strip() != "map":
         raise ParseError("expected 'map'", line=4)
 
     occ = np.zeros((height, width), dtype=bool)
-    for r in range(height):
-        row = need(4 + r, "map row")
-        if len(row) != width:
-            raise ParseError(
-                f"row has {len(row)} cells, expected {width}", line=5 + r
-            )
-        for c, ch in enumerate(row):
-            if ch in MOVINGAI_OBSTACLE:
-                occ[r, c] = True
-            elif ch not in MOVINGAI_PASSABLE:
-                raise ParseError(
-                    f"unknown cell character {ch!r}", line=5 + r, column=c + 1
-                )
-    for extra in range(4 + height, len(lines)):
+    for extra in range(_read_rows(lines, 4, occ, _MOVINGAI_CELLS), len(lines)):
         if lines[extra] != "":
             raise ParseError("unexpected content after map rows", line=extra + 1)
     return GridMap(occ)

@@ -21,6 +21,7 @@ from pbgrid.grid import (
     _STEP_COST,
     Cell,
     Connectivity,
+    DomainError,
     FlatGrid,
     GridMap,
     MapError,
@@ -87,6 +88,8 @@ class SamplerParams:
 def _line_cells(a: Cell, b: Cell, orthogonal: bool) -> Iterator[Cell]:
     """Yield the cells of discrete_line(a, b, orthogonal) one at a time, so a
     caller that needs only a prefix computes only that prefix."""
+    if len(a) != len(b):
+        raise DomainError(f"dimensionality mismatch: {len(a)} vs {len(b)}")
     cur = tuple(a)
     yield cur
     n = max(abs(x - y) for x, y in zip(a, b))

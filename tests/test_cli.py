@@ -169,7 +169,12 @@ def test_run_trace_when_start_is_goal(planner, tmp_path, capsys):
 def test_run_tree_only_for_samplers(tmp_path, capsys):
     rc = main(["run", FIXTURE, "--planner", "astar", "--tree", str(tmp_path / "t")])
     assert rc == 1
-    assert "--tree" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and "--tree" in err
+    rc = main(["run", FIXTURE, "--planner", "rrt", "--trace", str(tmp_path / "t")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "use --tree" in err
     tree = tmp_path / "tree.txt"
     rc = main(["run", FIXTURE, "--planner", "rrt", "--seed", "4",
                "--tree", str(tree)])
@@ -424,6 +429,50 @@ def test_plot_malformed_result_file_is_data_error(text, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+_GOOD_ROW = {
+    "success": True, "path_length_cells": 3.0, "path_cell_count": 4,
+    "distance_left_cells": 0, "time_seconds": 0.01, "path_deviation_pct": 0.0,
+    "search_space_pct": 10.0, "peak_memory_mb": 0.1, "obstacle_clearance_cells": None,
+    "smoothness_deg": 0.0, "planner": "astar", "map_id": "m0", "map_type": "uniform",
+    "hardware_tag": "local", "seed": 1, "failure_reason": None,
+}
+
+
+def write_one_row(path, **changes):
+    row = {**_GOOD_ROW, **changes}
+    path.write_text(f'{{"schema": "{RESULT_SCHEMA}", "warnings": []}}\n{json.dumps(row)}\n')
+    return path
+
+
+def test_plot_reads_a_well_typed_row(tmp_path):
+    res = write_one_row(tmp_path / "ok.pbr1")
+    assert main(["plot", str(res), "--kinds", "bar", "--out", str(tmp_path)]) == 0
+    assert load_results(str(res)).runs[0].success is True
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("time_seconds", "abc"),
+        ("time_seconds", True),
+        ("planner", 5),
+        ("success", "no"),
+        ("success", 1),
+        ("seed", True),
+        ("seed", 1.5),
+        ("path_cell_count", 4.0),
+        ("map_id", None),
+        ("failure_reason", 5),
+    ],
+)
+def test_plot_mistyped_result_row_is_data_error(field, value, tmp_path, capsys):
+    bad = write_one_row(tmp_path / "bad.pbr1", **{field: value})
+    rc = main(["plot", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and repr(field) in err and "line 2" in err
+
+
 def test_plot_unknown_metric_is_usage_error(tmp_path, capsys):
     res = tmp_path / "res"
     assert main(bench_args(res)) == 0
@@ -485,6 +534,58 @@ def test_abbreviated_flag_wins_over_environment(monkeypatch, capsys):
     assert "seed: 7" in capsys.readouterr().out
 
 
+def test_positionals_take_no_file_or_environment_value(tmp_path, monkeypatch, capsys):
+    u_trap = "tests/fixtures/u_trap.map"
+    monkeypatch.setenv("PBGRID_MAP", "/nonexistent")
+    assert main(["run", u_trap, "--planner", "astar"]) == 0
+    assert f"map: {u_trap}" in capsys.readouterr().out
+    monkeypatch.delenv("PBGRID_MAP")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("map = /nonexistent\n")
+    assert main(["run", u_trap, "--planner", "astar", "--config", str(cfg)]) == 0
+    assert f"map: {u_trap}" in capsys.readouterr().out
+    monkeypatch.setenv("PBGRID_RESULTS", "/nonexistent")
+    res = write_one_row(tmp_path / "ok.pbr1")
+    assert main(["plot", str(res), "--kinds", "bar", "--out", str(tmp_path)]) == 0
+
+
+def _runs_per_map(out, capsys):
+    capsys.readouterr()
+    return load_results(str(out / "results.pbr1")).meta["runs_per_map"]
+
+
+def test_simple_flag_beats_file_and_environment(tmp_path, monkeypatch, capsys):
+    args = ["benchmark", "--n", "1", "--x", "3", "--types", "uniform", "--extent", "12", "12",
+            "--planners", "astar", "--plots", "none"]
+    out = tmp_path / "res"
+    monkeypatch.setenv("PBGRID_COMPLEX", "1")
+    assert main(args + ["--out", str(out)]) == 0
+    assert _runs_per_map(out, capsys) == 3
+    assert main(args + ["--simple", "--out", str(out)]) == 0
+    assert _runs_per_map(out, capsys) == 1
+    monkeypatch.delenv("PBGRID_COMPLEX")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("complex = true\n")
+    assert main(args + ["--config", str(cfg), "--out", str(out)]) == 0
+    assert _runs_per_map(out, capsys) == 3
+    assert main(args + ["--config", str(cfg), "--simple", "--out", str(out)]) == 0
+    assert _runs_per_map(out, capsys) == 1
+
+
+def test_unknown_boolean_word_is_usage_error(tmp_path, monkeypatch, capsys):
+    args = ["benchmark", "--n", "1", "--types", "uniform", "--extent", "12", "12",
+            "--planners", "astar", "--plots", "none", "--out", str(tmp_path / "res")]
+    monkeypatch.setenv("PBGRID_COMPLEX", "maybe")
+    assert main(args) == 1
+    assert "usage error" in capsys.readouterr().err
+    monkeypatch.delenv("PBGRID_COMPLEX")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("complex = maybe\n")
+    assert main(args + ["--config", str(cfg)]) == 1
+    assert "'maybe'" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_config_file_dotted_planner_params(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("rrt.step = 1\nseed = 5\n")
@@ -494,6 +595,32 @@ def test_config_file_dotted_planner_params(tmp_path):
     assert main(["run", FIXTURE, "--planner", "rrt", "--seed", "5",
                  "--rrt.step", "1", "--tree", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_planner_param_flag_beats_file_however_spelled(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("d-rrt.step_cells = 6\n")
+    run = ["run", FIXTURE, "--planner", "rrt", "--seed", "5"]
+    a, b, c = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
+    assert main(run + ["--rrt.step", "1", "--config", str(cfg), "--tree", str(a)]) == 0
+    assert main(run + ["--rrt.step", "1", "--tree", str(b)]) == 0
+    assert main(run + ["--config", str(cfg), "--tree", str(c)]) == 0
+    assert a.read_bytes() == b.read_bytes() != c.read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [("fill", "0.1"), ("fill", "0.1 0.2 0.3"), ("extent", "")])
+def test_config_value_with_wrong_token_count_is_usage_error(key, value, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "maps")])
+    assert rc == 1
+    assert f"bad config value {value!r} for {key}" in capsys.readouterr().err
+
+
+def test_environment_value_is_checked_even_when_a_flag_wins(monkeypatch, capsys):
+    monkeypatch.setenv("PBGRID_SEED", "abc")
+    assert main(["run", FIXTURE, "--planner", "astar", "--seed", "3"]) == 1
+    assert "bad config value 'abc' for seed" in capsys.readouterr().err
 
 
 def test_config_file_bad_line_is_usage_error(tmp_path, capsys):

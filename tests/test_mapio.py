@@ -102,6 +102,16 @@ def test_native_load_locates_bad_cell_character():
     assert e.value.column == 3
 
 
+def test_native_load_locates_bad_cell_in_second_slice():
+    text = (
+        "pbgrid v1\ndims 3\nextent 2 2 3\nagent -\ngoal -\n"
+        "...\n.#.\n\n#..\n.?#\n"
+    )
+    with pytest.raises(ParseError, match="unknown cell character '\\?'") as e:
+        load_native(text)
+    assert (e.value.line, e.value.column) == (10, 2)
+
+
 def test_native_load_rejects_wrong_row_length():
     text = "pbgrid v1\ndims 2\nextent 2 3\nagent -\ngoal -\n..\n...\n"
     with pytest.raises(ParseError) as e:

@@ -9,6 +9,7 @@ import pytest
 
 from pbgrid.grid import (
     Connectivity,
+    DomainError,
     FlatGrid,
     GridMap,
     MapError,
@@ -119,6 +120,15 @@ def test_discrete_line_orthogonal_expansion():
     assert line[0] == (0, 0) and line[-1] == (2, 2)
     for u, v in zip(line, line[1:]):
         assert sum(1 for x, y in zip(u, v) if x != y) == 1
+
+
+def test_line_and_steer_reject_cells_of_another_dimension():
+    with pytest.raises(DomainError, match="2 vs 3"):
+        discrete_line((0, 0), (3, 3, 3))
+    with pytest.raises(DomainError, match="3 vs 2"):
+        discrete_line((0, 0, 0), (3, 3), orthogonal=True)
+    with pytest.raises(DomainError, match="2 vs 3"):
+        grid_steer((0, 0), (3, 3, 3), 2, empty_grid(5, 5))
 
 
 def test_grid_steer_no_progress_for_same_cell():

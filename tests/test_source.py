@@ -76,3 +76,15 @@ def test_metric_report_fields_are_the_aggregated_metrics():
         if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "_METRIC_SOURCES"
     )
     assert fields == set(ast.literal_eval(table))
+
+
+def test_no_module_rescans_argparse_options():
+    """Flag precedence is argparse's alone: no module reads a parser's
+    option-string table to decide a second time which flags were given."""
+    readers = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "_option_string_actions"
+    ]
+    assert readers == []
