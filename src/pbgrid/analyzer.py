@@ -410,7 +410,7 @@ def _run_unit(
             )
         except Exception as exc:  # crash wall: one bad run never aborts a sweep
             trace = SearchTrace(explored=set())
-            outcome = build_outcome(placed, None, trace, 0.0, 0, f"error:{type(exc).__name__}")
+            outcome = build_outcome(placed, None, trace, 0, f"error:{type(exc).__name__}")
             report = compute_report(outcome, baseline, placed, dist_field)
         records.append(
             RunRecord(

@@ -46,7 +46,7 @@ from pbgrid.analyzer import (
     score_run,
     simple_analysis,
 )
-from pbgrid.grid import Connectivity, DomainError, GridMap, MapError, MoveModel, distance_transform
+from pbgrid.grid import Connectivity, DomainError, MapError, MoveModel, distance_transform
 from pbgrid.mapgen import ConfigError, GenConfig, MapType, generate, place_agent_goal
 from pbgrid.mapio import NATIVE_VERSION, ParseError, load_map, parse_movingai, save_native
 from pbgrid.metrics import InconsistencyError, MetricReport
@@ -266,6 +266,8 @@ def _gen_config(ns, map_type: MapType) -> GenConfig:
 def cmd_generate(ns, overrides) -> int:
     if overrides:
         raise UsageError("per-planner parameters do not apply to generate")
+    if ns.count < 1:
+        raise UsageError(f"map count must be >= 1, got {ns.count}")
     base = _gen_config(ns, MapType(ns.type))
     out_dir = FsPath(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -315,12 +317,15 @@ def cmd_run(ns, overrides) -> int:
     typed = _typed_overrides(overrides, [entry]).get(entry.name, {})
     grid = load_map(ns.map)
     model = _model_from(ns)
-    if ns.start is not None or ns.goal is not None:
-        agent = tuple(ns.start) if ns.start is not None else grid.agent
-        goal = tuple(ns.goal) if ns.goal is not None else grid.goal
-        grid = GridMap(grid.occupancy, agent=agent, goal=goal)
-    if grid.agent is None or grid.goal is None:
+    agent = grid.agent if ns.start is None else ns.start
+    goal = grid.goal if ns.goal is None else ns.goal
+    if (agent is None) != (goal is None):  # both or neither are drawn, never one
+        name, flag = ("agent", "--start") if agent is None else ("goal", "--goal")
+        raise UsageError(f"{ns.map} sets no {name} and {flag} is not given")
+    if agent is None:
         grid = place_agent_goal(grid, np.random.default_rng(ns.seed))
+    else:
+        grid = grid.with_endpoints(agent, goal)
     print(f"planner: {entry.name}")
     print(f"map: {ns.map}")
     print(f"seed: {ns.seed}")

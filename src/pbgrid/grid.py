@@ -117,7 +117,8 @@ class GridMap:
     """Immutable dense occupancy grid with optional agent/goal endpoints.
 
     The occupancy array is copied on construction and marked read-only, so a
-    GridMap can be shared freely across concurrent planner runs.
+    GridMap can be shared freely across concurrent planner runs. A read-only,
+    C-contiguous bool array, such as another GridMap's, is shared instead.
     """
 
     __slots__ = ("occupancy", "agent", "goal", "_free_count")
@@ -128,7 +129,9 @@ class GridMap:
         agent: Optional[Sequence[int]] = None,
         goal: Optional[Sequence[int]] = None,
     ):
-        occ = np.ascontiguousarray(occupancy, dtype=bool)
+        occ = np.asarray(occupancy, dtype=bool, order="C")
+        if occ.flags.writeable:  # the caller may still change it
+            occ = occ.copy()
         if occ.ndim not in (2, 3):
             raise MapError(f"occupancy must be 2D or 3D, got {occ.ndim}D")
         if any(s <= 0 for s in occ.shape):

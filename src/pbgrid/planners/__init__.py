@@ -81,9 +81,10 @@ class PlannerEntry:
         overrides: Optional[Mapping[str, object]] = None,
         record_steps: bool = False,
     ) -> PlanOutcome:
-        """Run the planner. ``record_steps`` asks a graph planner for the
-        expansion log that ``dump_trace`` writes; the local planners always
-        log their walk and the samplers their tree."""
+        """Run the planner. Its time is the planner function's whole call,
+        not the parameter handling here. ``record_steps`` asks a graph
+        planner for the expansion log that ``dump_trace`` writes; the local
+        planners always log their walk and the samplers their tree."""
         cleaned = {self.param_key(key): value for key, value in dict(overrides or {}).items()}
         return self._call(grid, model, seed, cleaned, record_steps)
 

@@ -1,13 +1,15 @@
-"""Shared planner result types, the start and end of every run, and the
-nominal memory-accounting scheme.
+"""Shared planner result types, the frame of every run, and the nominal
+memory-accounting scheme.
 
-Every planner starts with ``require_endpoints``, answers a run whose agent
-already stands on the goal with ``trivial_outcome``, and ends with one
+Every planner function is wrapped in ``timed_run``, whose one clock times
+the whole call. Inside it a planner answers a run whose agent already
+stands on the goal with ``trivial_outcome`` and ends with one
 ``build_outcome`` call; no other module builds a ``PlanOutcome``.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Set, Tuple
@@ -67,26 +69,40 @@ def require_endpoints(grid: GridMap) -> None:
         raise MapError("planner needs a map with agent and goal set")
 
 
+def timed_run(planner):
+    """Wrap a planner function: check the endpoints, run it, and stamp its
+    outcome's ``elapsed_seconds`` with the wall time of the whole call."""
+
+    @functools.wraps(planner)
+    def run(grid: GridMap, *args, **kwargs) -> PlanOutcome:
+        t0 = time.perf_counter()
+        require_endpoints(grid)
+        outcome = planner(grid, *args, **kwargs)
+        outcome.elapsed_seconds = time.perf_counter() - t0
+        return outcome
+
+    return run
+
+
 def build_outcome(
     grid: GridMap,
     cells: Optional[Iterable[Cell]],
     trace: SearchTrace,
-    elapsed: float,
     memory: int,
     reason: Optional[str],
     stop: Optional[Cell] = None,
 ) -> PlanOutcome:
     """The end of a run: a success along ``cells``, which ends on the goal,
     or, when ``cells`` is None, a failure for ``reason`` whose terminal cell
-    is ``stop``, the agent's cell unless given."""
+    is ``stop``, the agent's cell unless given; ``timed_run`` sets its time."""
     if cells is not None:
-        return PlanOutcome(True, Path.from_cells(cells), trace, elapsed, memory, grid.goal)
-    return PlanOutcome(False, None, trace, elapsed, memory, grid.agent if stop is None else stop, reason)
+        return PlanOutcome(True, Path.from_cells(cells), trace, 0.0, memory, grid.goal)
+    return PlanOutcome(False, None, trace, 0.0, memory, grid.agent if stop is None else stop, reason)
 
 
-def trivial_outcome(grid: GridMap, t0: float, record_steps: bool) -> PlanOutcome:
+def trivial_outcome(grid: GridMap, record_steps: bool) -> PlanOutcome:
     """The run whose agent already stands on the goal: the one-cell path,
     nothing searched or held. Its step log is empty when the planner records
     steps, and None when it does not."""
     trace = SearchTrace(explored={grid.agent}, frontier_peak=0, step_log=[] if record_steps else None)
-    return build_outcome(grid, [grid.agent], trace, time.perf_counter() - t0, 0, None)
+    return build_outcome(grid, [grid.agent], trace, 0, None)

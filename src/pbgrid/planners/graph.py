@@ -14,13 +14,12 @@ FIFO queue), path, explored set and step log included. Their frontier_peak
 and peak_memory_bytes are the nominal heap or queue counts of that search,
 computed from its pushes rather than held.
 
-Each planner starts and ends a run through ``planners.base``: a step log
-is kept only under ``record_steps``, the trivial run included.
+Each planner runs in ``planners.base.timed_run``: a step log is kept only
+under ``record_steps``, the trivial run included.
 """
 
 from __future__ import annotations
 
-import time
 from heapq import heappop, heappush
 
 import numpy as np
@@ -43,7 +42,7 @@ from pbgrid.planners.base import (
     PlanOutcome,
     SearchTrace,
     build_outcome,
-    require_endpoints,
+    timed_run,
     trivial_outcome,
 )
 
@@ -86,12 +85,11 @@ def _goal_heuristic(goal, model: MoveModel):
     return voxel_octile
 
 
+@timed_run
 def astar(grid: GridMap, model: MoveModel, record_steps: bool = False) -> PlanOutcome:
     """Optimal A* under the octile/Manhattan heuristic."""
-    t0 = time.perf_counter()
-    require_endpoints(grid)
     if grid.agent == grid.goal:
-        return trivial_outcome(grid, t0, record_steps)
+        return trivial_outcome(grid, record_steps)
 
     fg = FlatGrid(grid, model)
     moves = fg.moves
@@ -135,7 +133,6 @@ def astar(grid: GridMap, model: MoveModel, record_steps: bool = False) -> PlanOu
                 if len(frontier) > frontier_peak:
                     frontier_peak = len(frontier)
 
-    elapsed = time.perf_counter() - t0
     memory = (
         frontier_peak * HEAP_ENTRY_BYTES
         + (len(g_cost) + len(parent)) * DICT_ENTRY_BYTES
@@ -150,9 +147,10 @@ def astar(grid: GridMap, model: MoveModel, record_steps: bool = False) -> PlanOu
         while chain[-1] != start_idx:
             chain.append(parent[chain[-1]])
         cells = [fg.to_cell(i) for i in reversed(chain)]
-    return build_outcome(grid, cells, trace, elapsed, memory, UNREACHABLE)
+    return build_outcome(grid, cells, trace, memory, UNREACHABLE)
 
 
+@timed_run
 def dijkstra(grid: GridMap, model: MoveModel, record_steps: bool = False) -> PlanOutcome:
     """Dijkstra's search, settled one unit band of distance at a time.
 
@@ -166,10 +164,8 @@ def dijkstra(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pla
     nominal heap, dict and set counts of that search, computed from its
     pushes rather than held.
     """
-    t0 = time.perf_counter()
-    require_endpoints(grid)
     if grid.agent == grid.goal:
-        return trivial_outcome(grid, t0, record_steps)
+        return trivial_outcome(grid, record_steps)
 
     fg = FlatGrid(grid, model)
     start_idx, goal_idx = fg.agent, fg.goal
@@ -204,7 +200,6 @@ def dijkstra(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pla
         pushes.append((to, value, pos + popped))
         popped += band.size
 
-    elapsed = time.perf_counter() - t0
     expanded = np.concatenate(bands)
     closed = np.append(expanded, goal_idx) if found else expanded
     to, value, by = (np.concatenate(parts) for parts in zip(*pushes))
@@ -231,7 +226,7 @@ def dijkstra(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pla
         while chain[-1] != start_idx:
             chain.append(int(parent[chain[-1]]))
         route = fg.to_cells(np.array(chain[::-1]))
-    return build_outcome(grid, route, trace, elapsed, memory, UNREACHABLE)
+    return build_outcome(grid, route, trace, memory, UNREACHABLE)
 
 
 def _move_arrays(fg: FlatGrid):
@@ -305,6 +300,7 @@ def _descent_order(fg: FlatGrid):
     return tuple(sorted(fg.moves, key=lambda e: (e[2], e[3])))
 
 
+@timed_run
 def wavefront(grid: GridMap, model: MoveModel, record_steps: bool = False) -> PlanOutcome:
     """Breadth-first integer wave expansion from the goal, then greedy descent.
 
@@ -316,10 +312,8 @@ def wavefront(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pl
     assigns them. ``frontier_peak`` is the nominal peak length of that queue,
     computed from the per-parent child counts rather than held.
     """
-    t0 = time.perf_counter()
-    require_endpoints(grid)
     if grid.agent == grid.goal:
-        return trivial_outcome(grid, t0, record_steps)
+        return trivial_outcome(grid, record_steps)
 
     fg = FlatGrid(grid, model)
     start_idx, goal_idx = fg.agent, fg.goal
@@ -344,7 +338,6 @@ def wavefront(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pl
         first[level] = -1
         levels.append(level)
 
-    elapsed_expand = time.perf_counter() - t0
     assigned = np.concatenate(levels)
     # the queue right after the k-th cell is appended holds it and every cell
     # after its parent
@@ -362,7 +355,7 @@ def wavefront(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pl
     memory = len(wave) * WAVE_CELL_BYTES + queue_peak * HEAP_ENTRY_BYTES
     trace = SearchTrace(explored=set(cells), frontier_peak=queue_peak, step_log=step_log)
 
-    route, elapsed = None, elapsed_expand
+    route = None
     if wave[start_idx] >= 0:
         order = _descent_order(fg)
         route = [grid.agent]
@@ -382,8 +375,7 @@ def wavefront(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pl
                 raise AssertionError("wavefront descent lost the gradient")
             idx = best_idx
             route.append(tuple(c + d for c, d in zip(route[-1], best_vec)))
-        elapsed = time.perf_counter() - t0
-    return build_outcome(grid, route, trace, elapsed, memory, UNREACHABLE)
+    return build_outcome(grid, route, trace, memory, UNREACHABLE)
 
 
 def dump_trace(outcome: PlanOutcome, stream) -> int:

@@ -10,7 +10,6 @@ their memory footprint tiny and their paths long.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -24,6 +23,7 @@ from ..grid import (
     distance_transform,
     euclidean_distance,
 )
+from ..mapgen import ConfigError
 from .base import (
     DICT_ENTRY_BYTES,
     LOCAL_MINIMUM,
@@ -34,7 +34,7 @@ from .base import (
     PlanOutcome,
     SearchTrace,
     build_outcome,
-    require_endpoints,
+    timed_run,
     trivial_outcome,
 )
 from .sampling import discrete_line
@@ -45,11 +45,6 @@ _PROGRESS_EPS = 1e-12
 # potential (field descent), third marks the movement mode.
 MOTION_TO_GOAL = 0.0
 BOUNDARY_FOLLOW = 1.0
-
-
-def _require_flat(grid: GridMap) -> None:
-    if grid.dims != 2:
-        raise DomainError("boundary following is only defined on 2-d maps")
 
 
 def _heading_ring(model: MoveModel) -> Tuple[Tuple[Cell, ...], Dict[Cell, int]]:
@@ -72,34 +67,29 @@ def _walk_outcome(
     log: List[Tuple[Cell, float, float]],
     failure: Optional[str],
     pos: Cell,
-    t0: float,
     extra_bytes: int,
 ) -> PlanOutcome:
-    elapsed = time.perf_counter() - t0
-    trace = SearchTrace(
-        explored={c for c, _, _ in log}, frontier_peak=0, step_log=log
-    )
+    trace = SearchTrace(explored={c for c, _, _ in log}, frontier_peak=0, step_log=log)
     memory = len(log) * WAVE_CELL_BYTES + extra_bytes
     cells = None if failure is not None else [c for c, _, _ in log]
-    return build_outcome(grid, cells, trace, elapsed, memory, failure, stop=pos)
+    return build_outcome(grid, cells, trace, memory, failure, stop=pos)
 
 
 class _BugWalk:
-    """What bug1 and bug2 share: the checks, the step limit, the clock, the
-    walk log, straight-line pursuit and wall-following moves.
+    """What bug1 and bug2 share: the checks, the step limit, the walk log,
+    straight-line pursuit and wall-following moves.
 
-    Built before the clock starts; ``start`` sets up the walk itself and is
-    not called for a trivial run.
+    Built first inside the planner's ``timed_run`` frame; ``start`` sets up
+    the walk itself and is not called for a trivial run.
     """
 
     def __init__(self, grid: GridMap, step_limit: Optional[int]):
-        require_endpoints(grid)
-        _require_flat(grid)
+        if grid.dims != 2:
+            raise DomainError("boundary following is only defined on 2-d maps")
         if step_limit is not None and step_limit <= 0:
-            raise ValueError("step_limit must be positive")
+            raise ConfigError("step_limit must be positive")
         self.grid = grid
         self.limit = 10 * grid.free_count if step_limit is None else step_limit
-        self.t0 = time.perf_counter()
 
     def start(self, model: MoveModel, follow_left: bool) -> None:
         self.fg = FlatGrid(self.grid, model)
@@ -164,9 +154,10 @@ class _BugWalk:
         return math.inf, heading
 
     def outcome(self, extra_bytes: int) -> PlanOutcome:
-        return _walk_outcome(self.grid, self.log, self.failure, self.pos, self.t0, extra_bytes)
+        return _walk_outcome(self.grid, self.log, self.failure, self.pos, extra_bytes)
 
 
+@timed_run
 def bug1(
     grid: GridMap,
     model: MoveModel = MoveModel(),
@@ -182,7 +173,7 @@ def bug1(
     """
     walk = _BugWalk(grid, step_limit)
     if grid.agent == grid.goal:
-        return trivial_outcome(grid, walk.t0, True)
+        return trivial_outcome(grid, True)
     walk.start(model, follow_left)
     peak_states = 0
 
@@ -223,6 +214,7 @@ def bug1(
     return walk.outcome(peak_states * SET_ENTRY_BYTES)
 
 
+@timed_run
 def bug2(
     grid: GridMap,
     model: MoveModel = MoveModel(),
@@ -239,7 +231,7 @@ def bug2(
     """
     walk = _BugWalk(grid, step_limit)
     if grid.agent == grid.goal:
-        return trivial_outcome(grid, walk.t0, True)
+        return trivial_outcome(grid, True)
     walk.start(model, follow_left)
     line = discrete_line(walk.pos, walk.goal, orthogonal=walk.orthogonal)
     index_of = {c: i for i, c in enumerate(line)}
@@ -292,6 +284,7 @@ class PotentialParams:
             raise ValueError("step_limit must be positive")
 
 
+@timed_run
 def potential_field(
     grid: GridMap,
     model: MoveModel = MoveModel(),
@@ -303,12 +296,10 @@ def potential_field(
     Moves to the neighbor with the lowest potential as long as that is
     strictly below the current one; otherwise reports a local minimum.
     """
-    require_endpoints(grid)
     p = params if params is not None else PotentialParams()
     limit = 10 * grid.free_count if p.step_limit is None else p.step_limit
-    t0 = time.perf_counter()
     if grid.agent == grid.goal:
-        return trivial_outcome(grid, t0, True)
+        return trivial_outcome(grid, True)
 
     field = distance_transform(grid)
     goal = grid.goal
@@ -351,4 +342,4 @@ def potential_field(
             break
 
     field_bytes = int(grid.occupancy.size) * 8
-    return _walk_outcome(grid, log, failure, pos, t0, field_bytes)
+    return _walk_outcome(grid, log, failure, pos, field_bytes)

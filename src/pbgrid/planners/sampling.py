@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -37,7 +36,7 @@ from pbgrid.planners.base import (
     PlanOutcome,
     SearchTrace,
     build_outcome,
-    require_endpoints,
+    timed_run,
     trivial_outcome,
 )
 
@@ -332,10 +331,7 @@ def dump_tree(outcome: PlanOutcome, stream) -> int:
 
 
 def _sampler_prelude(grid: GridMap, params: SamplerParams):
-    require_endpoints(grid)
-    rng = np.random.Generator(np.random.PCG64(params.seed))
-    free = grid.free_cells()
-    return rng, free
+    return np.random.Generator(np.random.PCG64(params.seed)), grid.free_cells()
 
 
 def _draw_cell(rng: np.random.Generator, free: np.ndarray) -> Cell:
@@ -353,7 +349,6 @@ def _tree_outcome(
     grid: GridMap,
     trees: Sequence[_Tree],
     goal_branch: Optional[List[Cell]],
-    t0: float,
 ) -> PlanOutcome:
     explored = set()
     for tree in trees:
@@ -362,18 +357,14 @@ def _tree_outcome(
             explored.update(edge)
     total_nodes = sum(t.size for t in trees)
     memory = total_nodes * TREE_NODE_BYTES + sum(t.coords.nbytes for t in trees)
-    trace = SearchTrace(
-        explored=explored, frontier_peak=total_nodes, step_log=_tree_log(trees)
-    )
-    elapsed = time.perf_counter() - t0
-    return build_outcome(grid, goal_branch, trace, elapsed, memory, BUDGET_EXHAUSTED)
+    trace = SearchTrace(explored=explored, frontier_peak=total_nodes, step_log=_tree_log(trees))
+    return build_outcome(grid, goal_branch, trace, memory, BUDGET_EXHAUSTED)
 
 
 def _rrt_family(grid: GridMap, model: MoveModel, params: SamplerParams, nearest: bool) -> PlanOutcome:
-    t0 = time.perf_counter()
     rng, free = _sampler_prelude(grid, params)
     if grid.agent == grid.goal:
-        return trivial_outcome(grid, t0, True)
+        return trivial_outcome(grid, True)
     fg = FlatGrid(grid, model)
     orthogonal = model.connectivity is Connectivity.ORTHOGONAL
     goal = grid.goal
@@ -399,14 +390,16 @@ def _rrt_family(grid: GridMap, model: MoveModel, params: SamplerParams, nearest:
             break
 
     branch = tree.branch(goal_id) if goal_id is not None else None
-    return _tree_outcome(grid, [tree], branch, t0)
+    return _tree_outcome(grid, [tree], branch)
 
 
+@timed_run
 def d_rrt(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParams()) -> PlanOutcome:
     """RRT over grid cells: extend the Euclidean-nearest node toward each sample."""
     return _rrt_family(grid, model, params, nearest=True)
 
 
+@timed_run
 def d_rt(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParams()) -> PlanOutcome:
     """Random tree: like d_rrt but extends from a uniformly random existing node."""
     return _rrt_family(grid, model, params, nearest=False)
@@ -455,6 +448,7 @@ def _line_normalize(fg: FlatGrid, cells: List[Cell], orthogonal: bool) -> List[C
     return out
 
 
+@timed_run
 def d_rrt_connect(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParams()) -> PlanOutcome:
     """Two trees rooted at start and goal; alternate extend and greedy
     multi-step connect.
@@ -471,10 +465,9 @@ def d_rrt_connect(grid: GridMap, model: MoveModel, params: SamplerParams = Sampl
     discrete-line validity the tree edges use. The trees themselves are
     returned untouched.
     """
-    t0 = time.perf_counter()
     rng, free = _sampler_prelude(grid, params)
     if grid.agent == grid.goal:
-        return trivial_outcome(grid, t0, True)
+        return trivial_outcome(grid, True)
     fg = FlatGrid(grid, model)
     orthogonal = model.connectivity is Connectivity.ORTHOGONAL
     budget = params.resolved_max_samples(grid)
@@ -536,9 +529,10 @@ def d_rrt_connect(grid: GridMap, model: MoveModel, params: SamplerParams = Sampl
         branch = _erase_loops(fwd + back[1:])
         if len(branch) > 2:
             branch = _line_normalize(fg, branch, orthogonal)
-    return _tree_outcome(grid, trees, branch, t0)
+    return _tree_outcome(grid, trees, branch)
 
 
+@timed_run
 def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParams()) -> PlanOutcome:
     """d_rrt plus choose-parent and rewire within rewire_radius; runs the full
     sample budget and returns the best goal-reaching branch.
@@ -554,10 +548,9 @@ def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerP
     costs of later neighbours in its subtree. Edge cells are rebuilt with
     discrete_line only for the chosen parent and for real rewires.
     """
-    t0 = time.perf_counter()
     rng, free = _sampler_prelude(grid, params)
     if grid.agent == grid.goal:
-        return trivial_outcome(grid, t0, True)
+        return trivial_outcome(grid, True)
     fg = FlatGrid(grid, model)
     flat = grid.occupancy.reshape(-1)
     strides = _row_major_strides(grid.extent)
@@ -638,7 +631,7 @@ def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerP
             children[new_id].append(gid)
 
     branch = tree.branch(tree.ids[goal]) if goal in tree.ids else None
-    return _tree_outcome(grid, [tree], branch, t0)
+    return _tree_outcome(grid, [tree], branch)
 
 
 def _roadmap_edges(coords: np.ndarray, occ: np.ndarray, radius: float, orthogonal: bool):
@@ -753,6 +746,7 @@ def _roadmap_query(coords: np.ndarray, extent, edges_i: np.ndarray, edges_j: np.
     return parent, max(1, int((pushed - np.arange(pushed.size)).max())), found
 
 
+@timed_run
 def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParams()) -> PlanOutcome:
     """Simple PRM: sample prm_nodes free cells plus start/goal, connect pairs
     within prm_radius whose discrete line is free, answer with a fewest-edges
@@ -775,10 +769,9 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
     ties broken by node cell; its frontier_peak is that heap's peak,
     computed from the pushes rather than held.
     """
-    t0 = time.perf_counter()
     rng, free = _sampler_prelude(grid, params)
     if grid.agent == grid.goal:
-        return trivial_outcome(grid, t0, True)
+        return trivial_outcome(grid, True)
     orthogonal = model.connectivity is Connectivity.ORTHOGONAL
 
     n_nodes = min(params.resolved_prm_nodes(grid), len(free))
@@ -800,7 +793,6 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
         + coords.nbytes
         + 2 * len(edges_i) * DICT_ENTRY_BYTES
     )
-    elapsed = time.perf_counter() - t0
     log = [(cell, -1.0, float(i)) for i, cell in enumerate(nodes)]
     trace = SearchTrace(explored=explored, frontier_peak=frontier_peak, step_log=log)
     cells: Optional[List[Cell]] = None
@@ -814,4 +806,4 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
             lo, hi = sorted((nodes[a], nodes[b]))
             line = discrete_line(lo, hi, orthogonal)
             cells.extend(line[1:] if nodes[a] == lo else line[-2::-1])
-    return build_outcome(grid, cells, trace, elapsed, memory, ROADMAP_DISCONNECTED)
+    return build_outcome(grid, cells, trace, memory, ROADMAP_DISCONNECTED)

@@ -102,6 +102,14 @@ def test_generate_reversed_fill_is_usage_error(tmp_path, capsys):
     assert "usage error" in err and "fill" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_generate_count_below_one_is_usage_error(count, tmp_path, capsys):
+    rc = main(["generate", "--count", count, "--out", str(tmp_path / "maps")])
+    assert rc == 1
+    assert "usage error: map count must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "maps").exists()
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -119,6 +127,40 @@ def test_run_rejects_nan_potential_params(param, capsys):
     argv = ["run", "tests/fixtures/u_trap.map", "--planner", "potential-field"]
     assert main(argv + [f"--potential-field.{param}", "nan"]) == 1
     assert f"usage error: {param} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("planner", ["bug1", "bug2"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_run_rejects_bad_bug_step_limit(planner, value, capsys):
+    argv = ["run", "tests/fixtures/u_trap.map", "--planner", planner]
+    assert main(argv + [f"--{planner}.step_limit", value]) == 1
+    assert "usage error: step_limit must be positive" in capsys.readouterr().err
+
+
+def _u_trap_with(tmp_path, ends):
+    """The u_trap fixture saved with ``ends`` as its agent and goal lines."""
+    text = FsPath("tests/fixtures/u_trap.map").read_text()
+    path = tmp_path / "ends.map"
+    path.write_text(text.replace("agent 12 2\ngoal 12 22\n", ends), encoding="utf-8")
+    return str(path)
+
+
+def test_run_one_endpoint_flag_on_a_map_without_endpoints_is_usage_error(tmp_path, capsys):
+    path = _u_trap_with(tmp_path, "agent -\ngoal -\n")
+    assert main(["run", path, "--planner", "astar", "--start", "0", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err and "--goal" in captured.err
+
+
+def test_run_map_with_only_an_agent_is_usage_error(tmp_path, capsys):
+    path = _u_trap_with(tmp_path, "agent 12 2\ngoal -\n")
+    assert main(["run", path, "--planner", "astar"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err and "--goal" in captured.err
+    assert main(["run", path, "--planner", "astar", "--goal", "12", "22"]) == 0
+    assert "agent: 12 2\ngoal: 12 22\n" in capsys.readouterr().out
 
 
 def test_run_astar_prints_zero_deviation(capsys):

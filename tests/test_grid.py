@@ -213,6 +213,17 @@ def test_gridmap_occupancy_is_read_only():
         g.agent = (0, 0)
 
 
+def test_gridmap_copies_a_writable_array():
+    occ = np.zeros((3, 3), dtype=bool)
+    g = GridMap(occ)
+    assert not np.shares_memory(g.occupancy, occ)
+    assert occ.flags.writeable
+    occ[0, 0] = True
+    assert not g.occupancy[0, 0]
+    # a read-only, C-contiguous bool array cannot change, so it is shared
+    assert g.with_endpoints((1, 1), (2, 2)).occupancy is g.occupancy
+
+
 def test_gridmap_free_count_and_equality():
     occ = np.zeros((3, 3), dtype=bool)
     occ[0, 0] = True

@@ -1,5 +1,7 @@
 """How every registered planner starts and ends a run: the endpoint check,
-the trivial run and a failed run, every outcome field but the wall time."""
+the trivial run, a failed run and the clock around all of it."""
+
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from pbgrid.planners.base import (
     LOCAL_MINIMUM,
     ROADMAP_DISCONNECTED,
     UNREACHABLE,
+    PlanOutcome,
 )
 
 FULL = MoveModel(Connectivity.FULL)
@@ -87,3 +90,22 @@ def test_walled_in_goal_fails(name):
     t = out.trace
     got = (t.explored, t.frontier_peak, t.step_log, out.peak_memory_bytes, out.terminal_cell, out.failure_reason)
     assert got == FAILED[name]
+
+
+@pytest.mark.parametrize("name", PLANNERS)
+def test_elapsed_time_covers_building_the_outcome(name, monkeypatch):
+    """The clock stops after the outcome is built: a slow outcome shows in
+    the time of a solved, a failed and a trivial run alike."""
+    check = PlanOutcome.__post_init__
+
+    def slow_check(outcome):
+        time.sleep(0.02)
+        check(outcome)
+
+    monkeypatch.setattr(PlanOutcome, "__post_init__", slow_check)
+    open_map = GridMap(np.zeros((4, 4), dtype=bool), agent=(0, 0), goal=(3, 3))
+    trivial = open_map.with_endpoints((1, 1), (1, 1))
+    for grid, solved in ((open_map, True), (WALLED, False), (trivial, True)):
+        out = resolve_planner(name).run(grid, FULL)
+        assert out.success == solved
+        assert out.elapsed_seconds >= 0.02

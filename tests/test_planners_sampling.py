@@ -436,7 +436,7 @@ def _brute_rrt_star(grid, model, params):
             children[new_id].append(gid)
 
     branch = tree.branch(tree.ids[goal]) if goal in tree.ids else None
-    return _tree_outcome(grid, [tree], branch, 0.0)
+    return _tree_outcome(grid, [tree], branch)
 
 
 def assert_same_outcome(got, want):

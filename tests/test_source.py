@@ -88,3 +88,32 @@ def test_no_module_rescans_argparse_options():
         if isinstance(node, ast.Attribute) and node.attr == "_option_string_actions"
     ]
     assert readers == []
+
+
+
+def _times_a_run(node):
+    """Whether an AST node imports time, checks a map's endpoints or sets a
+    run's elapsed_seconds."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "time" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "time"
+    if isinstance(node, ast.Call):
+        return "require_endpoints" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    if isinstance(node, ast.Assign):
+        return any(getattr(target, "attr", None) == "elapsed_seconds" for target in node.targets)
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return getattr(node.target, "attr", None) == "elapsed_seconds"
+    return False
+
+
+def test_only_planner_base_times_runs():
+    """One clock for every planner: under planners/, only base.py imports
+    time, checks the endpoints or sets elapsed_seconds."""
+    timers = {
+        path.name
+        for path in sorted((SRC / "pbgrid" / "planners").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _times_a_run(node)
+    }
+    assert timers == {"base.py"}
