@@ -390,59 +390,63 @@ def score_run(
 def _run_unit(
     spec: BenchmarkSpec,
     inst: _MapInstance,
-    run_idx: int,
+    runs_per_map: int,
     entries: Sequence[Tuple[PlannerConfig, PlannerEntry]],
 ) -> List[RunRecord]:
-    """Execute every planner once on one (map, endpoint draw) instance."""
-    rng = np.random.default_rng(
-        derive_seed(spec.master_seed, "endpoints", inst.map_id, run_idx)
-    )
-    placed = place_agent_goal(inst.grid, rng)
-    dist_field = distance_transform(placed)
-    baseline = astar(placed, spec.model)
+    """Execute every planner once on each of one map's ``runs_per_map``
+    endpoint draws, in draw order.
+
+    The distance field depends only on the occupancy, so the map's draws
+    share one, computed here and dropped with the unit.
+    """
+    dist_field = distance_transform(inst.grid)
     records: List[RunRecord] = []
-    for planner_cfg, entry in entries:
-        seed = derive_seed(spec.master_seed, "run", inst.map_id, run_idx, entry.name)
-        try:
-            outcome, report = score_run(
-                entry, placed, spec.model, seed, planner_cfg.overrides,
-                baseline, dist_field, spec.timing_repeats,
-            )
-        except Exception as exc:  # crash wall: one bad run never aborts a sweep
-            trace = SearchTrace(explored=set())
-            outcome = build_outcome(placed, None, trace, 0, f"error:{type(exc).__name__}")
-            report = compute_report(outcome, baseline, placed, dist_field)
-        records.append(
-            RunRecord(
-                planner=entry.name,
-                map_id=inst.map_id,
-                map_type=inst.map_type,
-                hardware_tag=spec.hardware_tag,
-                seed=seed,
-                failure_reason=outcome.failure_reason,
-                **vars(report),
-            )
+    for run_idx in range(runs_per_map):
+        rng = np.random.default_rng(
+            derive_seed(spec.master_seed, "endpoints", inst.map_id, run_idx)
         )
+        placed = place_agent_goal(inst.grid, rng)
+        baseline = astar(placed, spec.model)
+        for planner_cfg, entry in entries:
+            seed = derive_seed(spec.master_seed, "run", inst.map_id, run_idx, entry.name)
+            try:
+                outcome, report = score_run(
+                    entry, placed, spec.model, seed, planner_cfg.overrides,
+                    baseline, dist_field, spec.timing_repeats,
+                )
+            except Exception as exc:  # crash wall: one bad run never aborts a sweep
+                trace = SearchTrace(explored=set())
+                outcome = build_outcome(placed, None, trace, 0, f"error:{type(exc).__name__}")
+                report = compute_report(outcome, baseline, placed, dist_field)
+            records.append(
+                RunRecord(
+                    planner=entry.name,
+                    map_id=inst.map_id,
+                    map_type=inst.map_type,
+                    hardware_tag=spec.hardware_tag,
+                    seed=seed,
+                    failure_reason=outcome.failure_reason,
+                    **vars(report),
+                )
+            )
     return records
 
 
 def _analyze(spec: BenchmarkSpec, runs_per_map: int) -> AggregateStats:
     entries = [(cfg, resolve_planner(cfg.name)) for cfg in spec.planners]
     instances, warnings = _materialize_maps(spec)
-    units = [(inst, run_idx) for inst in instances for run_idx in range(runs_per_map)]
 
-    def work(unit):
-        inst, run_idx = unit
-        return _run_unit(spec, inst, run_idx, entries)
+    def work(inst):
+        return _run_unit(spec, inst, runs_per_map, entries)
 
     if spec.parallelism == 1:
-        unit_results = [work(u) for u in units]
+        unit_results = [work(inst) for inst in instances]
     else:
         # Results are collected in submission order, so worker count can
         # change scheduling but never the output; maps are immutable and
-        # shared, per-run state lives inside the unit.
+        # shared, per-map state lives inside the unit.
         with ThreadPoolExecutor(max_workers=spec.parallelism) as pool:
-            unit_results = list(pool.map(work, units))
+            unit_results = list(pool.map(work, instances))
     runs = [record for unit in unit_results for record in unit]
     meta = {
         "master_seed": spec.master_seed,

@@ -315,6 +315,7 @@ def cmd_run(ns, overrides) -> int:
     if ns.tree and entry.kind != "sampling":
         raise UsageError("--tree only applies to the sampling planners")
     typed = _typed_overrides(overrides, [entry]).get(entry.name, {})
+    entry.settings(typed, ns.seed)  # a bad value is a usage error before any output
     grid = load_map(ns.map)
     model = _model_from(ns)
     agent = grid.agent if ns.start is None else ns.start
@@ -356,6 +357,8 @@ def cmd_benchmark(ns, overrides) -> int:
         raise UsageError("--planners must name at least one planner")
     entries = [_resolve_or_usage(name) for name in planner_names]
     typed = _typed_overrides(overrides, entries)
+    for entry in entries:  # a bad value is a usage error before the sweep, not a crashed run
+        entry.settings(typed.get(entry.name))
     kinds = _plot_kinds(ns.plots)
     planner_cfgs = tuple(
         PlannerConfig(entry.name, typed.get(entry.name, {})) for entry in entries

@@ -22,6 +22,7 @@ import enum
 import functools
 import itertools
 import math
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -347,22 +348,99 @@ def _row_major_strides(shape: Sequence[int]) -> np.ndarray:
     return np.array([math.prod(shape[axis + 1:]) for axis in range(len(shape))], dtype=np.int64)
 
 
+def _padded_strides(extent: Sequence[int]) -> np.ndarray:
+    """The strides of ``extent`` embedded in a one-cell border, FlatGrid's layout."""
+    return _row_major_strides(tuple(s + 2 for s in extent))
+
+
+def _decode(idx: np.ndarray, strides: Tuple[int, ...]) -> Iterator[Cell]:
+    """The cell of every padded flat index in an integer array, in order:
+    the one decoding rule of FlatGrid and FlatCellSet.
+
+    Converts 1024 indices at a time, so the per-axis lists stay small
+    next to the tuples the caller keeps.
+    """
+    for lo in range(0, idx.size, 1024):
+        rest = idx[lo:lo + 1024]
+        axes = []
+        for s in strides:
+            row, rest = np.divmod(rest, s)
+            axes.append((row - 1).tolist())
+        yield from zip(*axes)
+
+
+class FlatCellSet(AbstractSet):
+    """A read-only set of cells held as padded flat indices.
+
+    It keeps a sorted array of distinct indices (8 bytes a cell) and the
+    padded strides, never the FlatGrid, so an outcome that keeps it does not
+    keep the legality tables. ``len`` and ``in`` read the array; iterating,
+    and comparing with another set, decode cells on demand with ``_decode``.
+    Cells are tuples of ints; set operations such as ``&`` return a built-in
+    set.
+    """
+
+    __slots__ = ("_idx", "_strides")
+
+    def __init__(self, idx: np.ndarray, strides: Tuple[int, ...]):
+        idx = np.sort(np.asarray(idx, dtype=np.int64))  # a copy, so no caller's array is kept
+        distinct = np.ones(idx.size, dtype=bool)
+        distinct[1:] = idx[1:] != idx[:-1]
+        self._idx = idx[distinct]
+        self._idx.setflags(write=False)
+        self._strides = tuple(strides)
+
+    @classmethod
+    def from_coords(cls, coords: np.ndarray, extent: Sequence[int]) -> "FlatCellSet":
+        """The set of the cells in the rows of an (N, dims) int array."""
+        strides = _padded_strides(extent)
+        return cls((coords + 1) @ strides, tuple(strides.tolist()))
+
+    @classmethod
+    def _from_iterable(cls, cells):
+        return set(cells)
+
+    def __len__(self) -> int:
+        return self._idx.size
+
+    def __iter__(self) -> Iterator[Cell]:
+        return _decode(self._idx, self._strides)
+
+    def __contains__(self, cell) -> bool:
+        strides = self._strides
+        if not isinstance(cell, tuple) or len(cell) != len(strides):
+            return False
+        # A coordinate past its axis's end would alias a cell of the next row.
+        # Axis 0 needs no upper check: past its end lie only the lower border
+        # and beyond, which hold no cell of the set.
+        limits = (math.inf,) + tuple(a // b - 2 for a, b in zip(strides, strides[1:]))
+        if not all(0 <= c < limit for c, limit in zip(cell, limits)):
+            return False
+        idx = sum((c + 1) * s for c, s in zip(cell, strides))
+        at = int(np.searchsorted(self._idx, idx))
+        return at < self._idx.size and self._idx[at] == idx
+
+
 class FlatGrid:
     """Planner-facing view of a map: one move-legality table per move.
 
     The occupancy field is embedded in a one-cell obstacle border and
     flattened row-major, so a cell is a flat index and a move adds a fixed
-    delta; no planner bounds-checks. ``moves`` holds one entry
-    ``(delta, legal, cost, vec)`` per move vector, in the same lexicographic
-    order as neighbors(), and ``step`` maps each vector to its entry.
-    ``legal[idx]`` is 1 when the move from flat index idx lands on a free cell
-    and cuts no corner (its target and every shoulder are free), 0 otherwise:
-    the corner-cutting rule of neighbors() and validate_path(), read as one
-    bytes lookup. The tables take one byte per padded cell and move, 26 bytes
-    per cell in 3D under Full connectivity.
+    delta; no planner bounds-checks. ``table`` is one (moves x padded cells)
+    uint8 array: ``table[k, idx]`` is 1 when move k from flat index idx lands
+    on a free cell and cuts no corner (its target and every shoulder are
+    free), 0 otherwise -- the corner-cutting rule of neighbors() and
+    validate_path(). ``moves`` holds one entry ``(delta, legal, cost, vec)``
+    per move vector, in the same lexicographic order as neighbors() and as
+    the table's rows, where ``legal`` is a memoryview of the move's row, so
+    ``legal[idx]`` is one int lookup; ``step`` maps each vector to its entry.
+    The table takes one byte per padded cell and move, 26 bytes per cell in
+    3D under Full connectivity.
     """
 
-    __slots__ = ("grid", "model", "size", "moves", "step", "strides", "agent", "goal", "dims")
+    __slots__ = (
+        "grid", "model", "size", "table", "moves", "step", "strides", "agent", "goal", "dims"
+    )
 
     def __init__(self, grid: GridMap, model: MoveModel):
         self.grid = grid
@@ -372,7 +450,7 @@ class FlatGrid:
         padded[tuple(slice(1, -1) for _ in range(grid.dims))] = grid.occupancy
         self.size = padded.size
 
-        strides = _row_major_strides(padded.shape)
+        strides = _padded_strides(grid.extent)
         self.strides = tuple(strides.tolist())
 
         # free[idx + d] for every flat index idx and move delta d, as views into
@@ -384,16 +462,16 @@ class FlatGrid:
         free = np.zeros(padded.size + 2 * reach, dtype=bool)
         free[reach:-reach] = ~padded.reshape(-1)
         free_at = {vec: free[reach + d:reach + d + padded.size] for vec, d in zip(vecs, deltas)}
+        n = padded.size
+        self.table = np.empty((len(vecs), n), dtype=np.uint8)
+        for row, vec in zip(self.table.view(bool), vecs):
+            row[:] = free_at[vec]
+            for sh in _shoulder_vectors(vec):
+                row &= free_at[sh]
+        rows = memoryview(self.table.reshape(-1))
         self.moves = tuple(
-            (
-                d,
-                functools.reduce(
-                    np.logical_and, [free_at[sh] for sh in _shoulder_vectors(vec)], free_at[vec]
-                ).tobytes(),
-                _STEP_COST[sum(1 for c in vec if c != 0)],
-                vec,
-            )
-            for vec, d in zip(vecs, deltas)
+            (d, rows[k * n:(k + 1) * n], _STEP_COST[sum(1 for c in vec if c != 0)], vec)
+            for k, (vec, d) in enumerate(zip(vecs, deltas))
         )
         self.step = {entry[3]: entry for entry in self.moves}
         self.agent = self.to_flat(grid.agent) if grid.agent is not None else None
@@ -410,15 +488,5 @@ class FlatGrid:
         return tuple(out)
 
     def to_cells(self, idx: np.ndarray) -> Iterator[Cell]:
-        """to_cell of every flat index in an integer array, in order.
-
-        Converts 1024 indices at a time, so the per-axis lists stay small
-        next to the tuples the caller keeps.
-        """
-        for lo in range(0, idx.size, 1024):
-            rest = idx[lo:lo + 1024]
-            axes = []
-            for s in self.strides:
-                row, rest = np.divmod(rest, s)
-                axes.append((row - 1).tolist())
-            yield from zip(*axes)
+        """to_cell of every flat index in an integer array, in order."""
+        return _decode(idx, self.strides)

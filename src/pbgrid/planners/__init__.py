@@ -13,7 +13,7 @@ from pbgrid.grid import GridMap, MoveModel
 from pbgrid.mapgen import ConfigError
 from pbgrid.planners.base import PlanOutcome, SearchTrace
 from pbgrid.planners.graph import astar, dijkstra, dump_trace, wavefront
-from pbgrid.planners.local import PotentialParams, bug1, bug2, potential_field
+from pbgrid.planners.local import PotentialParams, bug1, bug2, check_step_limit, potential_field
 from pbgrid.planners.sampling import (
     SamplerParams,
     d_rrt,
@@ -66,12 +66,14 @@ _PARAM_ALIASES = {"step": "step_cells"}
 
 @dataclass(frozen=True)
 class PlannerEntry:
-    """One registry row: canonical name, family, and the accepted knobs."""
+    """One registry row: canonical name, family, the accepted knobs, the
+    builder of the planner's parameter object and the planner call."""
 
     name: str
     kind: str                       # "graph" | "sampling" | "local"
     params: Mapping[str, type]      # override key -> value type (for coercion)
-    _call: Callable[[GridMap, MoveModel, int, Dict[str, object], bool], PlanOutcome]
+    _settings: Callable[[int, Dict[str, object]], object]  # (seed, overrides) -> parameters
+    _call: Callable[[GridMap, MoveModel, object, bool], PlanOutcome]
 
     def run(
         self,
@@ -85,8 +87,14 @@ class PlannerEntry:
         not the parameter handling here. ``record_steps`` asks a graph
         planner for the expansion log that ``dump_trace`` writes; the local
         planners always log their walk and the samplers their tree."""
+        return self._call(grid, model, self.settings(overrides, seed), record_steps)
+
+    def settings(self, overrides: Optional[Mapping[str, object]] = None, seed: int = 0) -> object:
+        """The parameter object every run with ``overrides`` builds;
+        ConfigError for a key this planner does not accept or a bad value,
+        so a caller can check the values before any run."""
         cleaned = {self.param_key(key): value for key, value in dict(overrides or {}).items()}
-        return self._call(grid, model, seed, cleaned, record_steps)
+        return self._settings(seed, cleaned)
 
     def param_key(self, key: str) -> str:
         """The canonical name of override ``key`` (``step`` is ``step_cells``);
@@ -101,39 +109,51 @@ class PlannerEntry:
         return key
 
 
+def _no_settings(seed, overrides):
+    return None
+
+
 def _graph_call(fn):
-    def call(grid, model, seed, overrides, record_steps):
+    def call(grid, model, settings, record_steps):
         return fn(grid, model, record_steps=record_steps)
 
     return call
 
 
-def _sampling_call(fn):
-    def call(grid, model, seed, overrides, record_steps):
-        try:
-            params = SamplerParams(seed=seed, **overrides)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return fn(grid, model, params)
+def _sampling_settings(seed, overrides) -> SamplerParams:
+    try:
+        return SamplerParams(seed=seed, **overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    return call
+
+def _bug_settings(seed, overrides) -> Tuple[Optional[int], bool]:
+    step_limit = overrides.get("step_limit")
+    check_step_limit(step_limit)
+    return step_limit, bool(overrides.get("follow_left", True))
 
 
 def _bug_call(fn):
-    def call(grid, model, seed, overrides, record_steps):
-        step_limit = overrides.get("step_limit")
-        follow_left = bool(overrides.get("follow_left", True))
+    def call(grid, model, settings, record_steps):
+        step_limit, follow_left = settings
         return fn(grid, model, step_limit, follow_left=follow_left)
 
     return call
 
 
-def _potential_call(grid, model, seed, overrides, record_steps):
+def _potential_settings(seed, overrides) -> PotentialParams:
     try:
-        params = PotentialParams(**overrides)
+        return PotentialParams(**overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return potential_field(grid, model, params)
+
+
+def _params_call(fn):
+    """A planner that takes its parameter object as the third argument."""
+    def call(grid, model, params, record_steps):
+        return fn(grid, model, params)
+
+    return call
 
 
 _RRT_PARAMS = {"max_samples": int, "step_cells": int, "goal_bias": float}
@@ -142,31 +162,38 @@ _BUG_PARAMS = {"step_limit": int, "follow_left": bool}
 _REGISTRY: Dict[str, PlannerEntry] = {
     entry.name: entry
     for entry in (
-        PlannerEntry("astar", "graph", {}, _graph_call(astar)),
-        PlannerEntry("dijkstra", "graph", {}, _graph_call(dijkstra)),
-        PlannerEntry("wavefront", "graph", {}, _graph_call(wavefront)),
-        PlannerEntry("d-rrt", "sampling", dict(_RRT_PARAMS), _sampling_call(d_rrt)),
-        PlannerEntry("d-rt", "sampling", dict(_RRT_PARAMS), _sampling_call(d_rt)),
+        PlannerEntry("astar", "graph", {}, _no_settings, _graph_call(astar)),
+        PlannerEntry("dijkstra", "graph", {}, _no_settings, _graph_call(dijkstra)),
+        PlannerEntry("wavefront", "graph", {}, _no_settings, _graph_call(wavefront)),
+        PlannerEntry(
+            "d-rrt", "sampling", dict(_RRT_PARAMS), _sampling_settings, _params_call(d_rrt)
+        ),
+        PlannerEntry(
+            "d-rt", "sampling", dict(_RRT_PARAMS), _sampling_settings, _params_call(d_rt)
+        ),
         PlannerEntry(
             "d-rrt-connect",
             "sampling",
             {"max_samples": int, "step_cells": int},
-            _sampling_call(d_rrt_connect),
+            _sampling_settings,
+            _params_call(d_rrt_connect),
         ),
         PlannerEntry(
             "d-rrt-star",
             "sampling",
             dict(_RRT_PARAMS, rewire_radius=float),
-            _sampling_call(d_rrt_star),
+            _sampling_settings,
+            _params_call(d_rrt_star),
         ),
         PlannerEntry(
             "d-sprm",
             "sampling",
             {"prm_nodes": int, "prm_radius": float},
-            _sampling_call(d_sprm),
+            _sampling_settings,
+            _params_call(d_sprm),
         ),
-        PlannerEntry("bug1", "local", dict(_BUG_PARAMS), _bug_call(bug1)),
-        PlannerEntry("bug2", "local", dict(_BUG_PARAMS), _bug_call(bug2)),
+        PlannerEntry("bug1", "local", dict(_BUG_PARAMS), _bug_settings, _bug_call(bug1)),
+        PlannerEntry("bug2", "local", dict(_BUG_PARAMS), _bug_settings, _bug_call(bug2)),
         PlannerEntry(
             "potential-field",
             "local",
@@ -176,7 +203,8 @@ _REGISTRY: Dict[str, PlannerEntry] = {
                 "influence_radius_cells": float,
                 "step_limit": int,
             },
-            _potential_call,
+            _potential_settings,
+            _params_call(potential_field),
         ),
     )
 }

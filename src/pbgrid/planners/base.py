@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Iterable, List, Optional, Tuple
 
 from pbgrid.grid import Cell, GridMap, MapError, Path
 
@@ -35,9 +35,15 @@ WAVE_CELL_BYTES = 8
 
 @dataclass
 class SearchTrace:
-    """What a planner looked at: expanded cells plus frontier bookkeeping."""
+    """What a planner looked at: expanded cells plus frontier bookkeeping.
 
-    explored: Set[Cell]
+    ``explored`` is read-only. The graph searches and d-sprm hand back a
+    ``grid.FlatCellSet`` of padded flat indices, whose ``len`` and ``in`` are
+    cheap and whose iteration decodes cells; the other planners a built-in
+    set. Either compares equal to a built-in set of the same cells.
+    """
+
+    explored: AbstractSet[Cell]
     frontier_peak: int = 0
     step_log: Optional[List[Tuple[Cell, float, float]]] = None
 

@@ -7,12 +7,17 @@ tie-break compares padded row-major flat indices, which order in-bounds cells
 as their tuples do.
 
 Dijkstra and the wavefront are numpy searches over FlatGrid's legality
-tables that settle a whole band of distance, or a whole breadth-first level,
-per step. Each returns exactly the outcome of the one-cell-at-a-time search
-it replaces (Dijkstra: A*'s heap search with a zero heuristic; wavefront: a
+table that settle a whole band of distance, or a whole breadth-first level,
+per step, reading the legality of every move out of the band in one gather.
+Each returns exactly the outcome of the one-cell-at-a-time search it
+replaces (Dijkstra: A*'s heap search with a zero heuristic; wavefront: a
 FIFO queue), path, explored set and step log included. Their frontier_peak
 and peak_memory_bytes are the nominal heap or queue counts of that search,
 computed from its pushes rather than held.
+
+All three hand back the explored cells as a ``FlatCellSet`` of the flat
+indices they settled, so no run builds a set of cell tuples; only a step
+log, when asked for, decodes them.
 
 Each planner runs in ``planners.base.timed_run``: a step log is kept only
 under ``record_steps``, the trivial run included.
@@ -29,6 +34,7 @@ from pbgrid.grid import (
     SQRT3,
     Connectivity,
     DomainError,
+    FlatCellSet,
     FlatGrid,
     GridMap,
     MoveModel,
@@ -138,8 +144,8 @@ def astar(grid: GridMap, model: MoveModel, record_steps: bool = False) -> PlanOu
         + (len(g_cost) + len(parent)) * DICT_ENTRY_BYTES
         + len(closed) * SET_ENTRY_BYTES
     )
-    del frontier, g_cost  # freed before the explored set is built: it sets the peak
-    explored = {fg.to_cell(i) for i in closed}
+    del frontier, g_cost  # freed before the explored view is built
+    explored = FlatCellSet(np.fromiter(closed, dtype=np.int64, count=len(closed)), fg.strides)
     trace = SearchTrace(explored=explored, frontier_peak=frontier_peak, step_log=step_log)
     cells = None
     if found:
@@ -169,7 +175,7 @@ def dijkstra(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pla
 
     fg = FlatGrid(grid, model)
     start_idx, goal_idx = fg.agent, fg.goal
-    tables, deltas, costs = _move_arrays(fg)
+    table, deltas, costs = _move_arrays(fg)
 
     dist = np.full(fg.size, np.inf)
     dist[start_idx] = 0.0
@@ -188,7 +194,7 @@ def dijkstra(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pla
         if dist[goal_idx] < top:
             found = True
             band = band[: band.tolist().index(goal_idx)]  # the goal is not expanded
-        legal = _legality(tables, band)
+        legal = _legality(table, band)
         to = (band[:, None] + deltas)[legal.T]
         value = (dist[band][:, None] + costs)[legal.T]
         pos = np.repeat(np.arange(band.size), legal.sum(axis=0))
@@ -211,13 +217,13 @@ def dijkstra(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pla
         + (1 + 2 * pushed) * DICT_ENTRY_BYTES
         + closed.size * SET_ENTRY_BYTES
     )
-    cells = fg.to_cells(closed)
     step_log = None
     if record_steps:
-        cells = list(cells)
         g = dist[closed].tolist()
-        step_log = list(zip(cells, g, g))
-    trace = SearchTrace(explored=set(cells), frontier_peak=frontier_peak, step_log=step_log)
+        step_log = list(zip(fg.to_cells(closed), g, g))
+    trace = SearchTrace(
+        explored=FlatCellSet(closed, fg.strides), frontier_peak=frontier_peak, step_log=step_log
+    )
     route = None
     if found:
         parent = np.empty(fg.size, dtype=expanded.dtype)
@@ -230,27 +236,24 @@ def dijkstra(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pla
 
 
 def _move_arrays(fg: FlatGrid):
-    """Each move's legality table as a numpy view (no copy), with the move
-    deltas and step costs as arrays, all in ``fg.moves`` order."""
-    tables = [np.frombuffer(entry[1], dtype=bool) for entry in fg.moves]
+    """FlatGrid's (moves x padded cells) legality table as a bool view (no
+    copy), with the move deltas and step costs as arrays, all in
+    ``fg.moves`` order."""
     deltas = np.array([entry[0] for entry in fg.moves])
     costs = np.array([entry[2] for entry in fg.moves])
-    return tables, deltas, costs
+    return fg.table.view(bool), deltas, costs
 
 
-def _legality(tables, nodes: np.ndarray) -> np.ndarray:
-    """(moves x nodes) legality of every move out of ``nodes``; its transpose
-    lists them in the order a one-node-at-a-time search tries them."""
-    legal = np.empty((len(tables), nodes.size), dtype=bool)
-    for move, table in enumerate(tables):  # one row at a time keeps few temporaries alive
-        legal[move] = table[nodes]
-    return legal
+def _legality(table: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """(moves x nodes) legality of every move out of ``nodes``, read in one
+    gather of the table's columns; its transpose lists the moves in the
+    order a one-node-at-a-time search tries them."""
+    return table[:, nodes]
 
 
 def _order(primary, secondary):
     """Indices that sort by (primary, secondary), ties kept in input order."""
-    order = np.argsort(secondary, kind="stable")
-    return order[np.argsort(primary[order], kind="stable")]
+    return np.lexsort((secondary, primary))
 
 
 def _improvements(to, value, pos, n):
@@ -317,7 +320,7 @@ def wavefront(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pl
 
     fg = FlatGrid(grid, model)
     start_idx, goal_idx = fg.agent, fg.goal
-    tables, deltas, _costs = _move_arrays(fg)
+    table, deltas, _costs = _move_arrays(fg)
 
     # first[v]: the earliest edge of this level into v; reached cells hold -1,
     # below every edge id, so they never take a later edge
@@ -327,7 +330,7 @@ def wavefront(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pl
     levels, parents = [level], []
     done = 0
     while level.size:
-        legal = _legality(tables, level)
+        legal = _legality(table, level)
         to = (level[:, None] + deltas)[legal.T]
         edge = np.arange(to.size, dtype=np.int32)
         np.minimum.at(first, to, edge)
@@ -343,17 +346,17 @@ def wavefront(grid: GridMap, model: MoveModel, record_steps: bool = False) -> Pl
     # after its parent
     queue_peak = max(1, int((np.arange(1, assigned.size) - np.concatenate(parents)).max(initial=0)))
     sizes = [lv.size for lv in levels]
-    del first, levels, parents  # freed before the explored set is built: it sets the peak
+    del first, levels, parents  # freed before the wave array is built
     wave = np.full(fg.size, -1, dtype=np.int32)
     wave[assigned] = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-    cells = fg.to_cells(assigned)
     step_log = None
     if record_steps:
-        cells = list(cells)
         w = wave[assigned].astype(float).tolist()
-        step_log = list(zip(cells, w, w))
+        step_log = list(zip(fg.to_cells(assigned), w, w))
     memory = len(wave) * WAVE_CELL_BYTES + queue_peak * HEAP_ENTRY_BYTES
-    trace = SearchTrace(explored=set(cells), frontier_peak=queue_peak, step_log=step_log)
+    trace = SearchTrace(
+        explored=FlatCellSet(assigned, fg.strides), frontier_peak=queue_peak, step_log=step_log
+    )
 
     route = None
     if wave[start_idx] >= 0:

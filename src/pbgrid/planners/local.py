@@ -62,6 +62,13 @@ def _step_ok(fg: FlatGrid, pos: Cell, delta: Cell) -> bool:
     return fg.step[delta][1][fg.to_flat(pos)] == 1
 
 
+def check_step_limit(step_limit: Optional[int]) -> None:
+    """Reject a bug walk's step limit unless it is positive; None stands for
+    ten times the map's free cells."""
+    if step_limit is not None and step_limit <= 0:
+        raise ConfigError("step_limit must be positive")
+
+
 def _walk_outcome(
     grid: GridMap,
     log: List[Tuple[Cell, float, float]],
@@ -86,8 +93,7 @@ class _BugWalk:
     def __init__(self, grid: GridMap, step_limit: Optional[int]):
         if grid.dims != 2:
             raise DomainError("boundary following is only defined on 2-d maps")
-        if step_limit is not None and step_limit <= 0:
-            raise ConfigError("step_limit must be positive")
+        check_step_limit(step_limit)
         self.grid = grid
         self.limit = 10 * grid.free_count if step_limit is None else step_limit
 

@@ -21,6 +21,7 @@ from pbgrid.grid import (
     Cell,
     Connectivity,
     DomainError,
+    FlatCellSet,
     FlatGrid,
     GridMap,
     MapError,
@@ -767,7 +768,8 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
     breadth-first level at a time over a CSR adjacency (_roadmap_query) and
     gives exactly the outcome of a Dijkstra heap search at unit weights,
     ties broken by node cell; its frontier_peak is that heap's peak,
-    computed from the pushes rather than held.
+    computed from the pushes rather than held. The explored cells, the
+    roadmap's nodes, come back as a ``FlatCellSet``.
     """
     rng, free = _sampler_prelude(grid, params)
     if grid.agent == grid.goal:
@@ -787,7 +789,7 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
     edges_i, edges_j = _roadmap_edges(coords, grid.occupancy, params.prm_radius, orthogonal)
     parent, frontier_peak, found = _roadmap_query(coords, grid.extent, edges_i, edges_j)
 
-    explored = set(nodes)
+    explored = FlatCellSet.from_coords(coords, grid.extent)
     memory = (
         len(nodes) * TREE_NODE_BYTES
         + coords.nbytes

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pbgrid.analyzer as analyzer
 from pbgrid.analyzer import (
     AggregateStats,
     BenchmarkSpec,
@@ -25,11 +26,12 @@ from pbgrid.analyzer import (
     merge_results,
     render_text_table,
     save_results,
+    score_run,
     simple_analysis,
 )
 from pbgrid.dataset import label_dataset, load_dataset, save_dataset
-from pbgrid.grid import GridMap, MoveModel, Path as CellPath, euclidean_distance
-from pbgrid.mapgen import ConfigError, GenConfig, MapType
+from pbgrid.grid import GridMap, MoveModel, Path as CellPath, distance_transform, euclidean_distance
+from pbgrid.mapgen import ConfigError, GenConfig, MapType, generate, place_agent_goal
 from pbgrid.mapio import save_native
 from pbgrid.planners import available_planners, resolve_planner
 from pbgrid.planners.graph import astar
@@ -230,6 +232,61 @@ def test_parallel_matches_serial():
     a = complex_analysis(base)
     b = complex_analysis(wide)
     assert strip_time(a.runs) == strip_time(b.runs)
+
+
+def test_draws_share_one_distance_field_per_map(monkeypatch):
+    """A --complex --x 4 sweep computes one distance field per map; its rows
+    equal those of a run that computes the field for every draw."""
+    spec = small_spec(
+        planners=(PlannerConfig("astar"), PlannerConfig("wavefront"), PlannerConfig("d-rrt")),
+        map_sources=(
+            GeneratedSource(GenConfig(extent=(10, 10), fill_rate_range=(0.1, 0.2)), 2),
+            GeneratedSource(GenConfig(map_type=MapType.BLOCK, extent=(12, 12)), 1),
+        ),
+        runs_per_map=4,
+    )
+    calls = []
+
+    def spy(grid):
+        calls.append(grid)
+        return distance_transform(grid)
+
+    monkeypatch.setattr(analyzer, "distance_transform", spy)
+    stats = complex_analysis(spec)
+    assert len(calls) == stats.meta["map_count"] == 3
+    assert [r.planner for r in stats.runs] == ["astar", "wavefront", "d-rrt"] * 12
+
+    # the rows as each draw with its own field gives them
+    want = []
+    for s_idx, source in enumerate(spec.map_sources):
+        for m_idx in range(source.count):
+            cfg = dataclasses.replace(
+                source.config,
+                seed=derive_seed(spec.master_seed, "map", s_idx, source.config.seed, m_idx),
+            )
+            map_id = f"{cfg.map_type.value}-{s_idx}-{m_idx:04d}"
+            grid = generate(cfg)
+            for run_idx in range(spec.runs_per_map):
+                rng = np.random.default_rng(derive_seed(spec.master_seed, "endpoints", map_id, run_idx))
+                placed = place_agent_goal(grid, rng)
+                baseline = astar(placed, spec.model)
+                for planner in spec.planners:
+                    entry = resolve_planner(planner.name)
+                    seed = derive_seed(spec.master_seed, "run", map_id, run_idx, entry.name)
+                    outcome, report = score_run(
+                        entry, placed, spec.model, seed, {}, baseline, distance_transform(placed)
+                    )
+                    want.append(RunRecord(
+                        planner=entry.name, map_id=map_id, map_type=cfg.map_type.value,
+                        hardware_tag=spec.hardware_tag, seed=seed,
+                        failure_reason=outcome.failure_reason, **vars(report),
+                    ))
+    assert strip_time(stats.runs) == strip_time(want)
+
+    calls.clear()
+    wide = complex_analysis(dataclasses.replace(spec, parallelism=4))
+    assert len(calls) == 3
+    assert strip_time(wide.runs) == strip_time(stats.runs)
 
 
 def test_master_seed_changes_maps():

@@ -137,6 +137,33 @@ def test_run_rejects_bad_bug_step_limit(planner, value, capsys):
     assert "usage error: step_limit must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "planner, flag",
+    [("bug2", "--bug2.step_limit"), ("d-rrt", "--d-rrt.step_cells"), ("pf", "--pf.step_limit")],
+)
+def test_run_bad_planner_value_fails_before_any_output(planner, flag, tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    argv = ["run", "tests/fixtures/u_trap.map", "--planner", planner, flag, "0"]
+    if planner != "d-rrt":
+        argv += ["--trace", str(trace)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err
+    assert not trace.exists()
+
+
+def test_benchmark_bad_planner_value_fails_before_the_sweep(tmp_path, capsys):
+    out = tmp_path / "res"
+    argv = ["benchmark", "--n", "2", "--extent", "16", "16", "--types", "uniform",
+            "--planners", "d-rrt", "--d-rrt.step_cells", "0", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: step_cells must be >= 1" in captured.err
+    assert not out.exists()
+
+
 def _u_trap_with(tmp_path, ends):
     """The u_trap fixture saved with ``ends`` as its agent and goal lines."""
     text = FsPath("tests/fixtures/u_trap.map").read_text()

@@ -6,6 +6,7 @@ import pytest
 from pbgrid.grid import (
     Connectivity,
     DomainError,
+    FlatCellSet,
     FlatGrid,
     GridMap,
     InvalidPathError,
@@ -349,3 +350,56 @@ def test_flatgrid_tables_equal_neighbors_at_every_cell(shape, model):
             assert fg.to_flat(vec) - fg.to_flat((0,) * len(shape)) == delta
         for cell in np.ndindex(shape):
             assert _table_neighbors(fg, cell) == neighbors(g, cell, model)
+
+
+# --- FlatCellSet ------------------------------------------------------------
+
+def _view(shape, cells):
+    fg = FlatGrid(GridMap(np.zeros(shape, dtype=bool)), FULL)
+    return FlatCellSet(np.array([fg.to_flat(c) for c in cells], dtype=np.int64), fg.strides)
+
+
+def test_flat_cell_set_behaves_as_a_set_of_cells():
+    cells = [(3, 1), (0, 0), (2, 5), (0, 0), (3, 1)]  # repeats, out of order
+    view = _view((4, 6), cells)
+    same = set(cells)
+    assert len(view) == 3
+    assert sorted(view) == sorted(same)
+    assert all(type(c) is int for cell in view for c in cell)
+    assert all(cell in view for cell in same)
+    assert (1, 1) not in view
+    for other in (same, frozenset(same)):
+        assert view == other and other == view
+        assert view <= other and other <= view
+        assert view >= other and other >= view
+    smaller, larger = {(0, 0)}, same | {(1, 1)}
+    assert view >= smaller and smaller <= view and not view <= smaller
+    assert view <= larger and larger >= view and view != larger and larger != view
+    assert view & {(0, 0), (1, 1)} == {(0, 0)}
+
+
+def test_flat_cell_set_empty_view():
+    for shape in ((3, 3), (2, 3, 4)):
+        empty = _view(shape, [])
+        assert len(empty) == 0 and list(empty) == []
+        assert empty == set() and set() == empty
+        assert empty <= {(0, 0)} and {(0, 0)} >= empty
+        assert (0,) * len(shape) not in empty
+
+
+def test_flat_cell_set_membership_does_not_alias():
+    view = _view((20, 20), [(1, 0), (19, 19)])
+    # (0, 22) has the padded flat index of (1, 0): 1*22 + 23 == 2*22 + 1
+    assert (1, 0) in view and (0, 22) not in view
+    for cell in [(-1, 0), (0, -1), (20, 19), (19, 20), (-1, -1), (1, 0, 0), (1,), (), [1, 0], "ab", None]:
+        assert cell not in view
+    view3 = _view((3, 4, 5), [(0, 1, 0), (2, 3, 4)])
+    assert (0, 1, 0) in view3 and (2, 3, 4) in view3
+    # (0, 0, 7) lands on the padded index of (0, 1, 0); (0, 1) is another dimension
+    for cell in [(0, 0, 7), (0, 1), (3, 3, 4), (2, 4, 4), (2, 3, 5), (0, 1, 0, 0)]:
+        assert cell not in view3
+
+
+def test_flat_cell_set_from_coords_matches_flat_indices():
+    coords = np.array([[2, 3, 4], [0, 0, 0], [2, 3, 4]])
+    assert FlatCellSet.from_coords(coords, (3, 4, 5)) == {(2, 3, 4), (0, 0, 0)}

@@ -1,5 +1,7 @@
+import gc
 import io
 import math
+import tracemalloc
 from collections import deque
 from heapq import heappop, heappush
 
@@ -8,6 +10,7 @@ import pytest
 
 from pbgrid.grid import (
     Connectivity,
+    FlatCellSet,
     FlatGrid,
     GridMap,
     MapError,
@@ -651,6 +654,26 @@ def test_heap_search_matches_cell_keyed_oracle(dims, model):
             assert_heap_search_matches_oracle(g, model)
             unreachable += not astar(g, model).success
     assert unreachable >= 2  # the exhausted-search branch ran
+
+
+@pytest.mark.parametrize("planner", [wavefront, dijkstra])
+def test_outcome_keeps_explored_indices_not_legality_tables(planner):
+    """The explored view holds 8 bytes a cell, never the FlatGrid."""
+    grid = place_agent_goal(generate(GenConfig(extent=(24, 24, 24), seed=2)), np.random.default_rng(2))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = planner(grid, FULL)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    explored = out.trace.explored
+    assert isinstance(explored, FlatCellSet) and len(explored) > 4000
+    table_bytes = FlatGrid(grid, FULL).table.nbytes  # 26 bytes a padded cell
+    assert kept <= 8 * len(explored) + 32 * 1024
+    assert kept < table_bytes / 2
 
 
 def test_registry_record_steps_reaches_graph_planners():

@@ -117,3 +117,69 @@ def test_only_planner_base_times_runs():
         if _times_a_run(node)
     }
     assert timers == {"base.py"}
+
+
+def _function(path, name):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return next(n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name)
+
+
+def _calls(node):
+    return {
+        getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    }
+
+
+def _names_strides(node):
+    return any(
+        getattr(n, "id", None) == "strides" or getattr(n, "attr", None) == "strides"
+        for n in ast.walk(node)
+    )
+
+
+def test_one_rule_decodes_padded_flat_indices():
+    """FlatGrid.to_cells and FlatCellSet decode through grid._decode, and no
+    planner module divides a flat index by the strides itself."""
+    grid = SRC / "pbgrid" / "grid.py"
+    assert "_decode" in _calls(_function(grid, "FlatGrid"))
+    assert "_decode" in _calls(_function(grid, "FlatCellSet"))
+    decoders = []
+    for path in sorted((SRC / "pbgrid" / "planners").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) in ("divmod", "unravel_index")
+                or getattr(node.func, "attr", None) in ("divmod", "unravel_index")
+            ):
+                decoders.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.FloorDiv, ast.Mod)) and _names_strides(node):
+                decoders.append(f"{path.name}:{node.lineno}")
+    assert decoders == []
+
+
+def test_graph_planners_and_d_sprm_return_the_flat_view():
+    """Each of them hands SearchTrace a FlatCellSet, never a set of tuples."""
+    planners = SRC / "pbgrid" / "planners"
+    for path, name in [
+        (planners / "graph.py", "astar"),
+        (planners / "graph.py", "dijkstra"),
+        (planners / "graph.py", "wavefront"),
+        (planners / "sampling.py", "d_sprm"),
+    ]:
+        fn = _function(path, name)
+        traces = [
+            call for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "SearchTrace"
+        ]
+        assert len(traces) == 1, name
+        explored = next(k.value for k in traces[0].keywords if k.arg == "explored")
+        if isinstance(explored, ast.Name):  # bound to a local first
+            explored = next(
+                a.value for a in ast.walk(fn)
+                if isinstance(a, ast.Assign) and getattr(a.targets[0], "id", None) == explored.id
+            )
+        assert isinstance(explored, ast.Call), name
+        func = explored.func
+        owner = func.id if isinstance(func, ast.Name) else getattr(func.value, "id", None)
+        assert owner == "FlatCellSet", name
