@@ -141,7 +141,7 @@ class PlannerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "overrides", dict(self.overrides))
-        resolve_planner(self.name)  # fail fast on unknown names
+        resolve_planner(self.name).settings(self.overrides)  # fail fast, not in every run
 
 
 @dataclass(frozen=True)
@@ -222,15 +222,16 @@ class CellStats:
 
     def stats(self, metric: str) -> Optional[Tuple[float, float, float, float]]:
         """(mean, population std, min, max) for a metric, None if no samples."""
-        values = self.samples.get(metric, ())
-        if not values:
-            return None
-        arr = np.asarray(values, dtype=float)
-        return (float(arr.mean()), float(arr.std()), float(arr.min()), float(arr.max()))
+        return self._stats.get(metric)
 
     def mean(self, metric: str) -> Optional[float]:
-        st = self.stats(metric)
-        return None if st is None else st[0]
+        return self._stats.get(metric, (None,))[0]
+
+    @cached_property
+    def _stats(self) -> Dict[str, Tuple[float, float, float, float]]:
+        """stats() of every metric with samples, computed once per cell."""
+        arrays = [(m, np.asarray(v, dtype=float)) for m, v in self.samples.items() if v]
+        return {m: (float(a.mean()), float(a.std()), float(a.min()), float(a.max())) for m, a in arrays}
 
 
 @dataclass(frozen=True)
@@ -288,7 +289,11 @@ class AggregateStats:
         return out
 
     def table_rows(self) -> List[Dict[str, object]]:
-        """Report rows in pinned column order, sorted for stable output."""
+        """Report rows in pinned column order, sorted; built once and shared, so read-only."""
+        return self._table_rows
+
+    @cached_property
+    def _table_rows(self) -> List[Dict[str, object]]:
         rows = []
         for cell in self.cells().values():
             row: Dict[str, object] = {

@@ -357,12 +357,10 @@ def cmd_benchmark(ns, overrides) -> int:
         raise UsageError("--planners must name at least one planner")
     entries = [_resolve_or_usage(name) for name in planner_names]
     typed = _typed_overrides(overrides, entries)
-    for entry in entries:  # a bad value is a usage error before the sweep, not a crashed run
-        entry.settings(typed.get(entry.name))
-    kinds = _plot_kinds(ns.plots)
     planner_cfgs = tuple(
         PlannerConfig(entry.name, typed.get(entry.name, {})) for entry in entries
     )
+    kinds = _plot_kinds(ns.plots)
     if ns.maps:
         map_dir = FsPath(ns.maps)
         if not map_dir.is_dir():

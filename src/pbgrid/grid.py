@@ -12,8 +12,10 @@ fixed here:
   between diagonally touching obstacles; direction-symmetric by construction).
 
 Planners read that rule from one place, the per-move legality tables of
-FlatGrid; neighbors() and validate_path() spell it out cell by cell and serve
-as the reference the tables are tested against.
+FlatGrid: the graph searches and walks per move, and the samplers' batched
+line checks per move of each discrete line (move_rows() gives a move's
+table row). neighbors() and validate_path() spell the rule out cell by cell
+and serve as the reference the tables are tested against.
 """
 
 from __future__ import annotations
@@ -105,13 +107,6 @@ class MoveModel:
         if dims not in (2, 3):
             raise DomainError(f"unsupported dimensionality: {dims}")
         return _move_vectors(self.connectivity, dims)
-
-    @staticmethod
-    def step_cost(move: Cell) -> float:
-        changed = sum(1 for c in move if c != 0)
-        if changed == 0:
-            raise DomainError("zero move has no cost")
-        return _STEP_COST[changed]
 
 
 class GridMap:
@@ -348,11 +343,6 @@ def _row_major_strides(shape: Sequence[int]) -> np.ndarray:
     return np.array([math.prod(shape[axis + 1:]) for axis in range(len(shape))], dtype=np.int64)
 
 
-def _padded_strides(extent: Sequence[int]) -> np.ndarray:
-    """The strides of ``extent`` embedded in a one-cell border, FlatGrid's layout."""
-    return _row_major_strides(tuple(s + 2 for s in extent))
-
-
 def _decode(idx: np.ndarray, strides: Tuple[int, ...]) -> Iterator[Cell]:
     """The cell of every padded flat index in an integer array, in order:
     the one decoding rule of FlatGrid and FlatCellSet.
@@ -391,12 +381,6 @@ class FlatCellSet(AbstractSet):
         self._strides = tuple(strides)
 
     @classmethod
-    def from_coords(cls, coords: np.ndarray, extent: Sequence[int]) -> "FlatCellSet":
-        """The set of the cells in the rows of an (N, dims) int array."""
-        strides = _padded_strides(extent)
-        return cls((coords + 1) @ strides, tuple(strides.tolist()))
-
-    @classmethod
     def _from_iterable(cls, cells):
         return set(cells)
 
@@ -419,6 +403,15 @@ class FlatCellSet(AbstractSet):
         idx = sum((c + 1) * s for c, s in zip(cell, strides))
         at = int(np.searchsorted(self._idx, idx))
         return at < self._idx.size and self._idx[at] == idx
+
+
+def move_rows(connectivity: Connectivity, vecs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """FlatGrid.table's row and the step cost of each move of the
+    connectivity in the rows of vecs; the moves' base-3 codes (digits c + 1,
+    first axis most significant) ascend in the table's lexicographic order."""
+    digits = 3 ** np.arange(vecs.shape[1] - 1, -1, -1)
+    codes = (np.array(_move_vectors(connectivity, vecs.shape[1])) + 1) @ digits
+    return np.searchsorted(codes, (vecs + 1) @ digits), np.array(_STEP_COST)[np.abs(vecs).sum(axis=1)]
 
 
 class FlatGrid:
@@ -450,7 +443,7 @@ class FlatGrid:
         padded[tuple(slice(1, -1) for _ in range(grid.dims))] = grid.occupancy
         self.size = padded.size
 
-        strides = _padded_strides(grid.extent)
+        strides = _row_major_strides(padded.shape)
         self.strides = tuple(strides.tolist())
 
         # free[idx + d] for every flat index idx and move delta d, as views into

@@ -27,7 +27,7 @@ from pbgrid.grid import (
     MapError,
     MoveModel,
     _row_major_strides,
-    _shoulder_vectors,
+    move_rows,
 )
 from pbgrid.planners.base import (
     BUDGET_EXHAUSTED,
@@ -41,7 +41,7 @@ from pbgrid.planners.base import (
     trivial_outcome,
 )
 
-# Node x offset x probe lookups per block of the roadmap edge search: it bounds
+# Node x offset x move lookups per block of the roadmap edge search: it bounds
 # the block's temporaries at any map size or radius.
 _PAIR_BLOCK = 1 << 20
 # Per-offset line rows memoized by _offset_lines: every offset within radius
@@ -143,27 +143,20 @@ def _line_cost(line: Sequence[Cell]) -> float:
     return total
 
 
-def _line_probes(offsets: np.ndarray, orthogonal: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cells whose freedom makes discrete_line(0, offsets[k]) a legal walk
-    from a free origin (K x L x dims), which of them are the row's distinct
-    cells other than the origin (K x L), and each line's _line_cost (K).
+def _line_moves(offsets: np.ndarray, orthogonal: bool) -> Tuple[np.ndarray, ...]:
+    """The model moves that walk discrete_line(0, offsets[k]) for every row
+    k: each move's start cell (K x S x dims) and FlatGrid.table row (K x S),
+    which slots hold a move of the line (K x S; the others hold row 0), and
+    each line's _line_cost (K).
 
-    Each step cur -> nxt, in discrete_line's float expression, gives one probe
-    per axis mask: cur moved along the masked axes. FULL masks are every
-    non-empty axis subset (the target and each corner-cut shoulder),
-    ORTHOGONAL masks the axis-order prefixes (the cells the expanded line
-    walks). A mask over unchanged axes names cur, and a line shorter than the
-    longest in the call repeats its last step, so padding only repeats cells
-    the row already checks. A FULL probe is distinct when its mask is a subset
-    of the step's changed axes, an ORTHOGONAL one when the prefix's last axis
-    changed. Every probe lies in the box spanned by 0 and the offset. Costs
-    are a sequential cumsum, bit-equal to _line_cost.
+    Each step cur -> nxt, in discrete_line's float expression, is one move
+    under FULL and one unit move per changed axis, in axis order, under
+    ORTHOGONAL. A line shorter than the longest in the call repeats its last
+    step in slots that hold no move. Every start cell lies in the box spanned
+    by 0 and the offset. Costs are a sequential cumsum of the moves' costs,
+    bit-equal to _line_cost.
     """
     dims = offsets.shape[1]
-    if orthogonal:
-        masks = np.tri(dims, dtype=np.int64)
-    else:
-        masks = np.array(_shoulder_vectors((1,) * dims) + ((1,) * dims,), dtype=np.int64)
     n = np.abs(offsets).max(axis=1)
     steps = np.arange(1, int(n.max(initial=0)) + 1)
     t = np.minimum(steps, n[:, None])[:, :, None]
@@ -171,18 +164,20 @@ def _line_probes(offsets: np.ndarray, orthogonal: bool) -> Tuple[np.ndarray, np.
     o = offsets[:, None, :]
     cur = np.floor(o * (t - 1) / span + 0.5).astype(np.int64)
     move = np.floor(o * t / span + 0.5).astype(np.int64) - cur
-    # built mask-major, so that numpy's inner loops run over whole steps
-    probes = (cur + masks[:, None, None, :] * move).transpose(1, 2, 0, 3)
-    # a repeat of a row's last step counts as changing no axis
-    changed = (move != 0) & (steps <= n[:, None])[:, :, None]
-    bit = 1 << np.arange(dims)
-    own = changed if orthogonal else (masks @ bit & ~(changed @ bit)[:, :, None]) == 0
-    # one unit step per changed axis under ORTHOGONAL
-    unit = np.array((0.0, 1.0, 2.0, 3.0) if orthogonal else _STEP_COST)
-    step_cost = np.zeros((len(offsets), len(steps) + 1))
-    step_cost[:, 1:] = unit[changed.sum(axis=2)]
+    real = steps <= n[:, None]
+    if orthogonal:
+        # the move along axis a starts from cur moved along the axes before a
+        cur = cur[:, :, None, :] + np.tri(dims, k=-1, dtype=np.int64) * move[:, :, None, :]
+        real = real[:, :, None] & (move != 0)
+        move = np.eye(dims, dtype=np.int64) * move[:, :, None, :]
     k = len(offsets)
-    return probes.reshape(k, -1, dims), own.reshape(k, -1), np.cumsum(step_cost, axis=1)[:, -1]
+    real = real.reshape(k, -1)
+    rows = np.zeros(real.shape, dtype=np.int64)
+    step_cost = np.zeros((k, real.shape[1] + 1))
+    rows[real], step_cost[:, 1:][real] = move_rows(
+        Connectivity.ORTHOGONAL if orthogonal else Connectivity.FULL, move.reshape(k, -1, dims)[real]
+    )
+    return cur.reshape(k, -1, dims), rows, real, np.cumsum(step_cost, axis=1)[:, -1]
 
 
 # Per-offset line rows of _offset_lines, keyed by (offset, orthogonal).
@@ -190,21 +185,22 @@ _line_memo: Dict[Tuple[Cell, bool], Tuple[np.ndarray, float]] = {}
 
 
 def _offset_lines(
-    flat: np.ndarray, strides: np.ndarray, starts: np.ndarray, offsets: np.ndarray, orthogonal: bool
+    fg: FlatGrid, starts: np.ndarray, offsets: np.ndarray, orthogonal: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Validity and cost of discrete_line(a, a + offsets[k]) for every row k,
-    where a is the cell at flat index starts[k] of the flattened occupancy
-    flat; one gather over the probes of all lines.
+    where a is the cell at padded flat index starts[k] of fg; one fg.table
+    gather of every move of all lines.
 
     The rounding term offset*i/n has a fractional part that is a multiple of
-    1/n, so the line from a is the line from the origin moved by a: probes
-    and cost depend on the offset alone. They are memoized per offset as
-    read-only rows of distinct cells other than a, at most _LINE_CACHE rows;
-    the rows a call is missing come from one _line_probes call, each copied
-    out so that no row keeps a whole batch alive. Threads share the memo
-    without a lock, because a published dict is never changed: a call reads
-    through one reference and publishes a fresh dict with its new rows (two
-    such calls may drop each other's rows, which only costs a rebuild).
+    1/n, so the line from a is the line from the origin moved by a: moves and
+    cost depend on the offset alone. They are memoized per offset as a
+    read-only row of (start cell..., table row) per move, which one product
+    with (*fg.strides, fg.size) turns into flat table indices, at most
+    _LINE_CACHE rows; the rows a call is missing come from one _line_moves
+    call, each copied out so that no row keeps a whole batch alive. Threads
+    share the memo without a lock, because a published dict is never changed:
+    a call reads through one reference and publishes a fresh dict with its
+    new rows (two such calls may drop each other's rows: only a rebuild).
     """
     global _line_memo
     memo = _line_memo
@@ -212,10 +208,10 @@ def _offset_lines(
     rows = list(map(memo.get, keys))
     if None in rows:
         missing = list(dict.fromkeys(key for key, row in zip(keys, rows) if row is None))
-        probes, own, line_cost = _line_probes(np.array([o for o, _ in missing]), orthogonal)
+        cells, table_rows, real, line_cost = _line_moves(np.array([o for o, _ in missing]), orthogonal)
         built = {}
-        for key, row, pick, c in zip(missing, probes, own, line_cost.tolist()):
-            row = row[pick]
+        for key, at, row, pick, c in zip(missing, cells, table_rows, real, line_cost.tolist()):
+            row = np.concatenate((at[pick], row[pick, None]), axis=1)
             row.setflags(write=False)
             built[key] = (row, c)
         if len(memo) + len(built) <= _LINE_CACHE:
@@ -223,10 +219,10 @@ def _offset_lines(
         elif len(built) <= _LINE_CACHE:
             _line_memo = built
         rows = [row or built[key] for key, row in zip(keys, rows)]
-    counts = [len(probes) for probes, _ in rows]
-    at = np.repeat(starts, counts) + np.concatenate([probes for probes, _ in rows]) @ strides
+    counts = [len(moves) for moves, _ in rows]
+    at = np.repeat(starts, counts) + np.concatenate([moves for moves, _ in rows]) @ (*fg.strides, fg.size)
     valid = np.ones(len(rows), dtype=bool)
-    valid[np.repeat(np.arange(len(rows)), counts)[flat[at]]] = False
+    valid[np.repeat(np.arange(len(rows)), counts)[~fg.table.view(bool).reshape(-1)[at]]] = False
     return valid, np.array([line_cost for _, line_cost in rows])
 
 
@@ -340,10 +336,10 @@ def _draw_cell(rng: np.random.Generator, free: np.ndarray) -> Cell:
     return tuple(free[rng.integers(len(free))].tolist())
 
 
-def _goal_connect(fg: FlatGrid, cell: Cell, goal: Cell) -> bool:
-    """Is goal one legal move away from cell?"""
+def _goal_connect(fg: FlatGrid, cell: Cell, goal: Cell) -> Optional[float]:
+    """The cost of the move from cell to goal if it is legal, else None."""
     entry = fg.step.get(tuple(g - c for c, g in zip(cell, goal)))
-    return entry is not None and entry[1][fg.to_flat(cell)] == 1
+    return entry[2] if entry is not None and entry[1][fg.to_flat(cell)] else None
 
 
 def _tree_outcome(
@@ -386,7 +382,7 @@ def _rrt_family(grid: GridMap, model: MoveModel, params: SamplerParams, nearest:
         if walked[-1] == goal:
             goal_id = nid
             break
-        if _goal_connect(fg, walked[-1], goal):
+        if _goal_connect(fg, walked[-1], goal) is not None:
             goal_id = tree.add(goal, nid, ())
             break
 
@@ -542,19 +538,19 @@ def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerP
     one gather (_offset_lines) that checks, for every neighbour, both the
     node -> q_new line (choose-parent) and the q_new -> node line (rewire);
     discrete_line is not symmetric, so both directions are checked. The
-    gather reads memoized _line_probes rows, as d_sprm's roadmap does. The
-    parent is the first neighbour of least cost through it, taken only when
-    strictly cheaper than the steered edge from the nearest node. Rewires run
-    in ascending node id over the live costs, because a reparent lowers the
-    costs of later neighbours in its subtree. Edge cells are rebuilt with
-    discrete_line only for the chosen parent and for real rewires.
+    gather reads each line's moves in fg.table through memoized _line_moves
+    rows, as d_sprm's roadmap does. The parent is the first neighbour of
+    least cost through it, taken only when strictly cheaper than the steered
+    edge from the nearest node. Rewires run in ascending node id over the
+    live costs, because a reparent lowers the costs of later neighbours in
+    its subtree. Edge cells are rebuilt with discrete_line only for the
+    chosen parent and for real rewires.
     """
     rng, free = _sampler_prelude(grid, params)
     if grid.agent == grid.goal:
         return trivial_outcome(grid, True)
     fg = FlatGrid(grid, model)
-    flat = grid.occupancy.reshape(-1)
-    strides = _row_major_strides(grid.extent)
+    strides = np.array(fg.strides)
     orthogonal = model.connectivity is Connectivity.ORTHOGONAL
     goal = grid.goal
     budget = params.resolved_max_samples(grid)
@@ -598,9 +594,9 @@ def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerP
         best_cost = cost[base] + _line_cost(walked)
         if k:
             # rows [:k] run node -> q_new (choose-parent), rows [k:] q_new -> node (rewire)
-            starts = np.concatenate([tree.coords[nbrs] @ strides, np.full(k, q @ strides)])
+            starts = np.concatenate([(tree.coords[nbrs] + 1) @ strides, np.full(k, fg.to_flat(q_new))])
             valid, line_cost = _offset_lines(
-                flat, strides, starts, np.concatenate([-diff[nbrs], diff[nbrs]]), orthogonal
+                fg, starts, np.concatenate([-diff[nbrs], diff[nbrs]]), orthogonal
             )
             through = np.where(valid[:k] & (nbrs != base), cost[nbrs] + line_cost[:k], np.inf)
             j = int(np.argmin(through))  # first of the cheapest
@@ -625,9 +621,10 @@ def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerP
                     line = discrete_line(q_new, tree.nodes[nid], orthogonal)
                     reparent(nid, new_id, line[1:-1], rewire_cost[i])
 
-        if q_new != goal and goal not in tree.ids and _goal_connect(fg, q_new, goal):
+        step = None if goal in tree.ids else _goal_connect(fg, q_new, goal)
+        if step is not None:
             gid = tree.add(goal, new_id, ())
-            cost[gid] = best_cost + _STEP_COST[sum(1 for c, g in zip(q_new, goal) if c != g)]
+            cost[gid] = best_cost + step
             children.append([])
             children[new_id].append(gid)
 
@@ -635,19 +632,20 @@ def d_rrt_star(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerP
     return _tree_outcome(grid, [tree], branch)
 
 
-def _roadmap_edges(coords: np.ndarray, occ: np.ndarray, radius: float, orthogonal: bool):
-    """All pairs of nodes within radius whose discrete line is free on occ, as
-    (i, j) node-index arrays with i < j, sorted by (i, j).
+def _roadmap_edges(fg: FlatGrid, coords: np.ndarray, radius: float, orthogonal: bool):
+    """All pairs of nodes within radius whose discrete line walks legal moves
+    of fg, as (i, j) node-index arrays with i < j, sorted by (i, j).
 
-    coords holds distinct free cells of occ, one per row. A pair's line runs
-    from its lexicographically smaller cell, so an edge is the same in both
-    directions. Node ids are written into a padded flat grid; the positive
-    half-stencil (offsets o > 0 lexicographically with |o|^2 <= radius^2),
-    sorted by line length, is walked in blocks of one length and at most
-    _PAIR_BLOCK node x offset x probe lookups, each one node-id gather, one
-    _line_probes call and one gather of every probe of every pair found.
+    coords holds distinct free cells of fg's map, one per row. A pair's line
+    runs from its lexicographically smaller cell, so an edge is the same in
+    both directions. Node ids are written into a flat grid padded by the
+    stencil's reach, which no offset leaves; the positive half-stencil
+    (offsets o > 0 lexicographically with |o|^2 <= radius^2), sorted by line
+    length, is walked in blocks of one length and at most _PAIR_BLOCK
+    node x offset x move lookups, each one node-id gather, one _line_moves
+    call and one fg.table gather of every move of every pair found.
     """
-    extent = occ.shape
+    extent = fg.grid.extent
     dims = len(extent)
     r2 = radius * radius
     longest = max(extent) - 1
@@ -669,12 +667,12 @@ def _roadmap_edges(coords: np.ndarray, occ: np.ndarray, radius: float, orthogona
     index = np.full(int(np.prod(padded)), -1, dtype=np.int32)
     index[slots] = np.arange(len(coords), dtype=np.int32)
     deltas = offsets @ strides
-    flat = occ.reshape(-1)
-    occ_strides = _row_major_strides(extent)
-    at = coords @ occ_strides
+    table = fg.table.view(bool).reshape(-1)
+    flat_strides = np.array(fg.strides)
+    at = (coords + 1) @ flat_strides
 
-    per_step = dims if orthogonal else (1 << dims) - 1  # probes per line step
-    budget = max(1, _PAIR_BLOCK // len(coords))  # offset x probe lookups per block
+    per_step = dims if orthogonal else 1  # move slots per line step
+    budget = max(1, _PAIR_BLOCK // len(coords))  # offset x move lookups per block
     i_parts, j_parts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     start = 0
     while start < len(offsets):
@@ -684,8 +682,9 @@ def _roadmap_edges(coords: np.ndarray, occ: np.ndarray, radius: float, orthogona
         )
         found = index[slots[:, None] + deltas[None, start:stop]]
         rows, cols = np.nonzero(found >= 0)
-        probes, _, _ = _line_probes(offsets[start:stop], orthogonal)
-        free = ~flat[at[rows][:, None] + (probes @ occ_strides)[cols]].any(axis=1)
+        cells, table_rows, real, _ = _line_moves(offsets[start:stop], orthogonal)
+        moves = cells @ flat_strides + table_rows * fg.size
+        free = (table[at[rows][:, None] + moves[cols]] | ~real[cols]).all(axis=1)
         rows, hits = rows[free], found[rows[free], cols[free]].astype(np.int64)
         i_parts.append(np.minimum(rows, hits))
         j_parts.append(np.maximum(rows, hits))
@@ -695,7 +694,7 @@ def _roadmap_edges(coords: np.ndarray, occ: np.ndarray, radius: float, orthogona
     return i[order], j[order]
 
 
-def _roadmap_query(coords: np.ndarray, extent, edges_i: np.ndarray, edges_j: np.ndarray):
+def _roadmap_query(rank: np.ndarray, edges_i: np.ndarray, edges_j: np.ndarray):
     """Fewest-edges search of the roadmap from node 0 (the agent) to node 1
     (the goal), one breadth-first level at a time.
 
@@ -707,9 +706,10 @@ def _roadmap_query(coords: np.ndarray, extent, edges_i: np.ndarray, edges_j: np.
     ascending, and one ``np.minimum.at`` keeps each node's first edge. No
     entry goes stale, so every node is pushed at most once, and after the
     i-th pop (from 0) and its pushes the heap holds (pushes so far) - i.
+    rank holds the nodes' padded flat indices, ordered as their cells are.
     Returns (parent, frontier_peak, found).
     """
-    n = len(coords)
+    n = len(rank)
     # CSR adjacency in both directions. (i, j) is sorted with i < j, so a
     # stable sort by source puts each row's lower neighbours (the reversed
     # half, placed first) before its higher ones: every row is ascending.
@@ -717,8 +717,6 @@ def _roadmap_query(coords: np.ndarray, extent, edges_i: np.ndarray, edges_j: np.
     adjacent = np.concatenate((edges_i, edges_j))[np.argsort(src, kind="stable")]
     row_start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=row_start[1:])
-    # row-major flat indices order in-bounds cells as their tuples do
-    rank = coords @ _row_major_strides(extent)
 
     first = np.full(n, adjacent.size, dtype=np.int64)  # above every edge id
     first[0] = -1  # reached nodes hold -1, so they never take a later edge
@@ -755,10 +753,10 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
 
     Candidate pairs come from an integer offset stencil (every offset within
     prm_radius, looked up in a grid of node ids), not from an N x N distance
-    matrix, and each block of stencil offsets checks the lines of every pair
-    it finds in one gather of _line_probes rows (_roadmap_edges). Edges are
-    kept as node pairs; the cells of a line are rebuilt with discrete_line
-    only for the returned path.
+    matrix, and each block of stencil offsets checks every move of the lines
+    of the pairs it finds in one FlatGrid table gather (_roadmap_edges).
+    Edges are kept as node pairs; the cells of a line are rebuilt with
+    discrete_line only for the returned path.
 
     The query treats every roadmap edge as one hop, the simplest weighting:
     the answer is a fewest-edges route, not a shortest-cells route, and the
@@ -774,6 +772,7 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
     rng, free = _sampler_prelude(grid, params)
     if grid.agent == grid.goal:
         return trivial_outcome(grid, True)
+    fg = FlatGrid(grid, model)
     orthogonal = model.connectivity is Connectivity.ORTHOGONAL
 
     n_nodes = min(params.resolved_prm_nodes(grid), len(free))
@@ -786,10 +785,11 @@ def d_sprm(grid: GridMap, model: MoveModel, params: SamplerParams = SamplerParam
         coords = np.concatenate((ends, picked[~repeat]))
     nodes: List[Cell] = list(map(tuple, coords.tolist()))
 
-    edges_i, edges_j = _roadmap_edges(coords, grid.occupancy, params.prm_radius, orthogonal)
-    parent, frontier_peak, found = _roadmap_query(coords, grid.extent, edges_i, edges_j)
+    at = (coords + 1) @ np.array(fg.strides)
+    edges_i, edges_j = _roadmap_edges(fg, coords, params.prm_radius, orthogonal)
+    parent, frontier_peak, found = _roadmap_query(at, edges_i, edges_j)
 
-    explored = FlatCellSet.from_coords(coords, grid.extent)
+    explored = FlatCellSet(at, fg.strides)
     memory = (
         len(nodes) * TREE_NODE_BYTES
         + coords.nbytes

@@ -33,6 +33,7 @@ from pbgrid.dataset import label_dataset, load_dataset, save_dataset
 from pbgrid.grid import GridMap, MoveModel, Path as CellPath, distance_transform, euclidean_distance
 from pbgrid.mapgen import ConfigError, GenConfig, MapType, generate, place_agent_goal
 from pbgrid.mapio import save_native
+from pbgrid import planners
 from pbgrid.planners import available_planners, resolve_planner
 from pbgrid.planners.graph import astar
 
@@ -189,6 +190,25 @@ def test_spec_rejects_bad_shapes():
         PlannerConfig("warp-drive")
 
 
+def test_planner_config_rejects_bad_overrides():
+    # checked once at the spec, so a library sweep fails before any run
+    for name, overrides in [
+        ("d-rrt", {"step_cells": 0}),
+        ("d-sprm", {"prm_radius": math.nan}),
+        ("bug2", {"step_limit": 0}),
+        ("potential-field", {"step_limit": -1}),
+        ("bug2", {"bogus": 1}),
+        ("astar", {"step_cells": 4}),
+    ]:
+        with pytest.raises(ConfigError):
+            PlannerConfig(name, overrides)
+    with pytest.raises(ConfigError):
+        simple_analysis(small_spec(planners=(
+            PlannerConfig("d-rrt", {"step_cells": 0}), PlannerConfig("bug2", {"bogus": 1}),
+        )))
+    PlannerConfig("d-rrt", {"step": 2, "goal_bias": 0.0})
+
+
 # ---------------------------------------------------------------------------
 # Sweeps
 
@@ -303,9 +323,15 @@ def test_timing_repeats_changes_only_time():
     assert strip_time(a.runs) == strip_time(b.runs)
 
 
-def test_crash_wall_records_failed_run(tmp_path):
-    # A bad override value raises inside the planner call. The map has two
-    # free cells, one step apart, so every draw puts the endpoints on them.
+def test_crash_wall_records_failed_run(tmp_path, monkeypatch):
+    # A registry entry whose call raises stands in for a crashing planner.
+    # The map has two free cells, one step apart, so every draw puts the
+    # endpoints on them.
+    def crash(grid, model, settings, record_steps):
+        raise RuntimeError("planner crashed")
+
+    entry = dataclasses.replace(resolve_planner("d-rrt"), _call=crash)
+    monkeypatch.setitem(planners._REGISTRY, "d-rrt", entry)
     occ = np.ones((3, 3), dtype=bool)
     occ[1, 1:] = False
     path = tmp_path / "pair.map"
@@ -313,7 +339,7 @@ def test_crash_wall_records_failed_run(tmp_path):
     spec = small_spec(
         planners=(
             PlannerConfig("astar"),
-            PlannerConfig("d-rrt", {"step_cells": 0}),
+            PlannerConfig("d-rrt"),
         ),
         map_sources=(FileSource((str(path),)),),
         runs_per_map=3,
@@ -338,7 +364,7 @@ def test_crash_wall_records_failed_run(tmp_path):
             peak_memory_mb=0.0,
             obstacle_clearance_cells=None,
             smoothness_deg=None,
-            failure_reason="error:ConfigError",
+            failure_reason="error:RuntimeError",
         )
         for run_idx in range(3)
     ]

@@ -15,6 +15,7 @@ from pbgrid.grid import (
     Path,
     distance_transform,
     euclidean_distance,
+    move_rows,
     neighbors,
     validate_path,
 )
@@ -122,13 +123,17 @@ def test_neighbors_never_returns_obstacle_or_out_of_bounds():
 
 
 def test_step_cost_symmetry_and_values():
+    # the one per-move cost table, read through move_rows
+    def cost(move):
+        return move_rows(Connectivity.FULL, np.array([move]))[1][0]
+
     for dims in (2, 3):
         for move in FULL.moves(dims):
             rev = tuple(-m for m in move)
-            assert MoveModel.step_cost(move) == MoveModel.step_cost(rev)
-    assert MoveModel.step_cost((1, 0)) == 1.0
-    assert MoveModel.step_cost((1, -1)) == math.sqrt(2)
-    assert MoveModel.step_cost((1, 1, -1)) == math.sqrt(3)
+            assert cost(move) == cost(rev)
+    assert cost((1, 0)) == 1.0
+    assert cost((1, -1)) == math.sqrt(2)
+    assert cost((1, 1, -1)) == math.sqrt(3)
 
 
 # --- euclidean_distance ----------------------------------------------------
@@ -398,8 +403,3 @@ def test_flat_cell_set_membership_does_not_alias():
     # (0, 0, 7) lands on the padded index of (0, 1, 0); (0, 1) is another dimension
     for cell in [(0, 0, 7), (0, 1), (3, 3, 4), (2, 4, 4), (2, 3, 5), (0, 1, 0, 0)]:
         assert cell not in view3
-
-
-def test_flat_cell_set_from_coords_matches_flat_indices():
-    coords = np.array([[2, 3, 4], [0, 0, 0], [2, 3, 4]])
-    assert FlatCellSet.from_coords(coords, (3, 4, 5)) == {(2, 3, 4), (0, 0, 0)}

@@ -15,8 +15,9 @@ from pbgrid.grid import (
     MapError,
     MoveModel,
     Path,
-    _row_major_strides,
+    _STEP_COST,
     _shoulder_vectors,
+    move_rows,
     neighbors,
     validate_path,
 )
@@ -30,10 +31,9 @@ from pbgrid.planners.base import (
 from pbgrid.planners import sampling
 from pbgrid.planners.graph import astar, dijkstra
 from pbgrid.planners.sampling import (
-    _STEP_COST,
     SamplerParams,
     _line_cost,
-    _line_probes,
+    _line_moves,
     _line_valid,
     _offset_lines,
     _roadmap_edges,
@@ -476,39 +476,40 @@ def test_offset_line_matches_line_walk(dims, reach, orthogonal):
     rng = np.random.default_rng(83 + dims)
     size = 2 * reach + 3
     occ = rng.random((size,) * dims) < 0.2
-    strides = _row_major_strides(occ.shape)
+    fg = FlatGrid(GridMap(occ), _model(orthogonal))
+    strides = np.array(fg.strides)
     axes = np.meshgrid(*[np.arange(-reach, reach + 1)] * dims, indexing="ij")
     offsets = np.stack(axes, axis=-1).reshape(-1, dims)
     offsets = offsets[(offsets * offsets).sum(axis=1) <= reach * reach]
     low = np.maximum(0, -offsets)
     high = np.minimum(size - 1, size - 1 - offsets)
     for starts in (low, high, rng.integers(low, high + 1)):
-        valid, cost = _offset_lines(occ.reshape(-1), strides, starts @ strides, offsets, orthogonal)
+        valid, cost = _offset_lines(fg, (starts + 1) @ strides, offsets, orthogonal)
         for a, o, v, c in zip(starts.tolist(), offsets.tolist(), valid, cost):
             line = discrete_line(tuple(a), tuple(x + d for x, d in zip(a, o)), orthogonal)
             assert c == _line_cost(line)
             assert v == _ref_line_valid(occ, line)
-    # a memo row holds distinct cells of the box spanned by 0 and the offset,
-    # the start excluded
+    # a memo row holds the line's moves from the origin in walk order: each
+    # move's start cell, in the box spanned by 0 and the offset, and its row
     for o in offsets:
-        probes, _ = sampling._line_memo[(tuple(o.tolist()), orthogonal)]
-        assert probes.shape[1] == dims
-        assert ((probes >= np.minimum(o, 0)) & (probes <= np.maximum(o, 0))).all()
-        assert len(set(map(tuple, probes.tolist()))) == len(probes)
-        assert (probes != 0).any(axis=1).all()
+        moves, _ = sampling._line_memo[(tuple(o.tolist()), orthogonal)]
+        assert moves.shape[1] == dims + 1
+        assert ((moves[:, :dims] >= np.minimum(o, 0)) & (moves[:, :dims] <= np.maximum(o, 0))).all()
+        line = discrete_line((0,) * dims, tuple(o.tolist()), orthogonal)
+        want = [(a, tuple(y - x for x, y in zip(a, b))) for a, b in zip(line, line[1:])]
+        assert [(tuple(m[:dims]), fg.moves[m[dims]][3]) for m in moves.tolist()] == want
 
 
 def test_offset_line_rows_are_read_only():
-    occ = np.zeros((6, 6), dtype=bool)
-    strides = _row_major_strides(occ.shape)
-    start, offset = np.array([3]), np.array([[3, -2]])  # (0, 3) -> (3, 1)
-    _offset_lines(occ.reshape(-1), strides, start, offset, False)
-    probes, _ = sampling._line_memo[((3, -2), False)]
-    assert not probes.flags.writeable
+    fg = FlatGrid(GridMap(np.zeros((6, 6), dtype=bool)), FULL)
+    start, offset = np.array([fg.to_flat((0, 3))]), np.array([[3, -2]])  # (0, 3) -> (3, 1)
+    _offset_lines(fg, start, offset, False)
+    moves, _ = sampling._line_memo[((3, -2), False)]
+    assert not moves.flags.writeable
     with pytest.raises(ValueError):
-        probes[0, 0] = 9
-    _offset_lines(occ.reshape(-1), strides, start, offset, False)
-    assert sampling._line_memo[((3, -2), False)][0] is probes  # reused, not rebuilt
+        moves[0, 0] = 9
+    _offset_lines(fg, start, offset, False)
+    assert sampling._line_memo[((3, -2), False)][0] is moves  # reused, not rebuilt
 
 
 @pytest.mark.parametrize("orthogonal", [False, True])
@@ -517,9 +518,9 @@ def test_offset_lines_reach_128_steps(orthogonal):
     # the one toward the obstacle at the far end is blocked
     occ = np.zeros((1, 257), dtype=bool)
     occ[0, 256] = True
-    strides = _row_major_strides(occ.shape)
+    fg = FlatGrid(GridMap(occ), _model(orthogonal))
     offsets = np.array([[0, 128], [0, -128]])
-    valid, cost = _offset_lines(occ.reshape(-1), strides, np.array([128, 128]), offsets, orthogonal)
+    valid, cost = _offset_lines(fg, np.full(2, fg.to_flat((0, 128))), offsets, orthogonal)
     lines = [discrete_line((0, 128), (0, 256), orthogonal), discrete_line((0, 128), (0, 0), orthogonal)]
     assert valid.tolist() == [_ref_line_valid(occ, line) for line in lines] == [False, True]
     assert cost.tolist() == [_line_cost(line) for line in lines]
@@ -533,7 +534,8 @@ def test_offset_lines_memo_under_threads(monkeypatch):
     monkeypatch.setattr(sampling, "_line_memo", {})
     rng = np.random.default_rng(89)
     occ = rng.random((24, 24)) < 0.2
-    flat, strides = occ.reshape(-1), _row_major_strides(occ.shape)
+    fgs = {orthogonal: FlatGrid(GridMap(occ), _model(orthogonal)) for orthogonal in (False, True)}
+    strides = np.array(fgs[False].strides)
     free = np.argwhere(~occ)
     jobs = []
     for k in range(24):
@@ -541,15 +543,15 @@ def test_offset_lines_memo_under_threads(monkeypatch):
         pairs = rng.choice(len(free), size=(24 if k % 6 == 0 else 6, 2))
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         a, b = free[pairs[:, 0]], free[pairs[:, 1]]
-        jobs.append((a @ strides, b - a, bool(k % 2)))
-    want = [_offset_lines(flat, strides, *job) for job in jobs]
+        jobs.append((fgs[bool(k % 2)], (a + 1) @ strides, b - a, bool(k % 2)))
+    want = [_offset_lines(*job) for job in jobs]
     got = [[] for _ in range(4)]
     sizes = []
 
     def work(out, order):
         for _ in range(5):
             for k in order:
-                out.append((k, _offset_lines(flat, strides, *jobs[k])))
+                out.append((k, _offset_lines(*jobs[k])))
                 sizes.append(len(sampling._line_memo))
 
     old = sys.getswitchinterval()
@@ -814,7 +816,7 @@ def test_roadmap_pairs_match_brute_force(dims, block, monkeypatch):
             if not len(free):
                 continue
             coords = free[rng.choice(len(free), size=int(rng.integers(1, len(free) + 1)), replace=False)]
-            i, j = _roadmap_edges(coords, occ, radius, orthogonal)
+            i, j = _roadmap_edges(FlatGrid(GridMap(occ), _model(orthogonal)), coords, radius, orthogonal)
             cells = [tuple(int(c) for c in cell) for cell in coords]
             d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
             pairs = np.argwhere(np.triu((d2 <= radius * radius) & (d2 > 0))).tolist()
@@ -830,38 +832,51 @@ def test_roadmap_pairs_match_brute_force(dims, block, monkeypatch):
 @pytest.mark.parametrize("dims,size", [(2, 12), (3, 6)])
 @pytest.mark.parametrize("orthogonal", [False, True])
 def test_lines_valid_matches_line_walk(dims, size, orthogonal, batch):
-    # _line_probes over lines of mixed lengths, zero offsets among them, all
+    # _line_moves over lines of mixed lengths, zero offsets among them, all
     # in one call or `batch` offsets per call: validity from random free
-    # starts, and the cost bit for bit, against the line walk
+    # starts through fg.table, and the cost bit for bit, against the line walk
     rng = np.random.default_rng(73 + dims)
-    strides = _row_major_strides((size,) * dims)
     for fill in (0.1, 0.3, 0.5):
         occ = rng.random((size,) * dims) < fill
+        fg = FlatGrid(GridMap(occ), _model(orthogonal))
+        table = fg.table.reshape(-1)
+        strides = np.array(fg.strides)
         free = np.argwhere(~occ)
         a = free[rng.integers(len(free), size=200)]
         b = rng.integers(0, size, size=(200, dims))
         b[:5] = a[:5]  # zero-length lines are valid
+        lines = [discrete_line(tuple(map(int, x)), tuple(map(int, y)), orthogonal) for x, y in zip(a, b)]
         step = batch or len(a)
         valid, cost = [], []
         for k in range(0, len(a), step):
-            probes, own, line_cost = _line_probes(b[k:k + step] - a[k:k + step], orthogonal)
-            cells = a[k:k + step, None, :] + probes
-            # the marked probes are each row's distinct cells other than its start
-            for row, pick, start in zip(cells.tolist(), own, a[k:k + step].tolist()):
-                distinct = [tuple(c) for c in np.array(row)[pick].tolist()]
-                assert sorted(distinct) == sorted(set(map(tuple, row)) - {tuple(start)})
-            # every probe lies in the box spanned by the line's endpoints
+            starts, rows, real, line_cost = _line_moves(b[k:k + step] - a[k:k + step], orthogonal)
+            cells = a[k:k + step, None, :] + starts
+            # the marked slots are each row's moves, in walk order
+            for line, row, move_row, pick in zip(lines[k:k + step], cells.tolist(), rows, real):
+                moves = [(tuple(c), fg.moves[m][3]) for c, m in zip(np.array(row)[pick].tolist(), move_row[pick])]
+                assert moves == [(p, tuple(y - x for x, y in zip(p, q))) for p, q in zip(line, line[1:])]
+            # every start cell lies in the box spanned by the line's endpoints
             assert (cells >= np.minimum(a, b)[k:k + step, None]).all()
             assert (cells <= np.maximum(a, b)[k:k + step, None]).all()
-            valid += (~occ.reshape(-1)[cells @ strides].any(axis=1)).tolist()
+            legal = table[(cells + 1) @ strides + rows * fg.size].astype(bool)
+            valid += (legal | ~real).all(axis=1).tolist()
             cost += line_cost.tolist()
-        lines = [discrete_line(tuple(map(int, x)), tuple(map(int, y)), orthogonal) for x, y in zip(a, b)]
         want = [_ref_line_valid(occ, line) for line in lines]
         assert valid == want
         assert cost == [_line_cost(line) for line in lines]
         # the single-line walk on the legality tables agrees too
-        fg = FlatGrid(GridMap(occ), _model(orthogonal))
         assert [_line_valid(fg, line) for line in lines] == want
+
+
+@pytest.mark.parametrize("connectivity", list(Connectivity))
+@pytest.mark.parametrize("dims", [2, 3])
+def test_move_rows_follow_table_order(connectivity, dims):
+    # every move vector maps to its own row of fg.table, with its entry's cost
+    fg = FlatGrid(empty_grid(*(4,) * dims), MoveModel(connectivity))
+    rows, costs = move_rows(connectivity, np.array([vec for _, _, _, vec in fg.moves]))
+    assert rows.tolist() == list(range(len(fg.moves))) == list(range(len(fg.table)))
+    assert costs.tolist() == [cost for _, _, cost, _ in fg.moves]
+    assert all(fg.table[k].tobytes() == bytes(legal) for k, (_, legal, _, _) in enumerate(fg.moves))
 
 
 # --- shared contracts ---------------------------------------------------------

@@ -183,3 +183,24 @@ def test_graph_planners_and_d_sprm_return_the_flat_view():
         func = explored.func
         owner = func.id if isinstance(func, ast.Name) else getattr(func.value, "id", None)
         assert owner == "FlatCellSet", name
+
+
+def test_one_corner_cut_rule():
+    """The corner-cut rule lives in grid.py: no other module names
+    _shoulder_vectors, and the samplers check lines on FlatGrid's table,
+    never on the occupancy."""
+    namers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if "_shoulder_vectors" in (getattr(node, "id", None), getattr(node, "attr", None)) or (
+                isinstance(node, ast.alias) and node.name == "_shoulder_vectors"
+            ):
+                namers.add(path.relative_to(SRC).as_posix())
+    assert namers == {"pbgrid/grid.py"}
+    sampling = SRC / "pbgrid" / "planners" / "sampling.py"
+    readers = [
+        node.lineno
+        for node in ast.walk(ast.parse(sampling.read_text(), filename=str(sampling)))
+        if isinstance(node, ast.Attribute) and node.attr == "occupancy"
+    ]
+    assert readers == []
